@@ -2,9 +2,18 @@
 
 Both solvers are deliberately self-contained: a two-phase tableau simplex with
 Bland's rule for linear programs, and a primal active-set method for the
-identity-Hessian projection QP.  Problems in this package are tiny (a handful
-of variables, tens of rows), so dense numpy arithmetic and reproducible pivot
-order matter more than asymptotic speed.
+identity-Hessian projection QP.  Pivot order is reproducible.
+
+The simplex keeps a dense tableau.  Most LPs here are tiny, but the joint
+blend LP couples every pair of hull vertices and reaches thousands of rows and
+columns, while its normalised pivot row has only tens of nonzeros.  On
+tableaus above ``_SPARSE_PIVOT_CELLS`` a pivot therefore updates only the
+columns in the pivot row's support.  That is exact: each updated entry gets
+the same single product and subtraction as in the dense rank-1 update, and
+each skipped entry would have had an exact zero subtracted from a finite
+value, so pivots, bases and results are unchanged (up to the sign of a zero).
+Smaller tableaus keep the dense update, which costs one numpy call instead of
+one per column.
 """
 from __future__ import annotations
 
@@ -68,11 +77,31 @@ class LpResult:
     active_rows: tuple[int, ...] = ()
 
 
+# Entering-column entries at or below this count as zero in the ratio test.
+# Pivoting on roundoff-sized entries (1e-10 to 3e-10 seen on joint-blend LPs)
+# blows the tableau up to 1e21 and returns an infeasible point.
+_RATIO_EPS = 1e-9
+
+# Tableaus with more cells than this update only the pivot row's support.
+# Each column costs one numpy call (a few us), so below this size the single
+# dense rank-1 update is faster.  Measured on the certify cascade's LPs: dense
+# mostly wins up to 10,000 cells, they tie near 18,000, and from 19,000 cells
+# on the per-column update wins (about 3x at 100,000 cells, 6-9x on the
+# 1.3M-cell joint-blend tableaus).  Oracle scans stay under 200 cells and
+# closed-loop rollouts under 600, so they keep the dense update.
+_SPARSE_PIVOT_CELLS = 15_000
+
+
 def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int):
     T[i] /= T[i, j]
     col = T[:, j].copy()
     col[i] = 0.0
-    T -= np.outer(col, T[i])
+    row = T[i]
+    if T.size > _SPARSE_PIVOT_CELLS:
+        for k in np.flatnonzero(row):
+            T[:, k] -= row[k] * col
+    else:
+        T -= np.outer(col, row)
     basis[i] = j
 
 
@@ -95,7 +124,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             return "optimal"
         j = int(cand[0])
         col = T[:, j]
-        pos = col > 1e-10
+        pos = col > _RATIO_EPS
         if not pos.any():
             return "unbounded"
         ratios = np.where(pos, np.maximum(T[:, -1], 0.0) / np.where(pos, col, 1.0), np.inf)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import hullcert
 from hullcert import cases
 from hullcert.cli import main
 from hullcert.problem import save_problem
@@ -159,10 +160,14 @@ def test_demo_writes_a_study_bundle(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same hullcert as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hullcert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hullcert.cli", "certify",
          "--problem", "case2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "certified via cpc_common" in proc.stderr
     rep = json.loads(proc.stdout)

@@ -1,9 +1,13 @@
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hullcert import (InfeasibleQP, InputSet, LpProblem, NumericalFailure,
-                      WarmQp, margin_lp, solve_lp, solve_qp_projection)
-from hullcert import cases
+from hullcert import (DEFAULT, Hull, InfeasibleQP, InputSet, LpProblem,
+                      NumericalFailure, QuadFunc, StackedMap, WarmQp,
+                      cpc_blend_joint, margin_lp, solve_lp, solve_qp_projection)
+from hullcert import cases, certificates, optcore
 
 
 # --------------------------------------------------------------------------
@@ -114,6 +118,89 @@ def test_lp_result_respects_constraints():
         assert np.all(prob.a_ineq @ z - prob.b_ineq <= 1e-9)
         assert np.all(z >= prob.lo - 1e-9)
         assert np.all(z <= prob.hi + 1e-9)
+
+
+# --------------------------------------------------------------------------
+# LP: pivot update and ratio test on joint-blend sized tableaus
+
+
+def _random_tableau(rng, rows, cols, row_nnz):
+    """Tableau with zeros scattered through it and a sparse pivot row."""
+    T = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+    i = int(rng.integers(rows))
+    T[i] = 0.0
+    T[i, rng.choice(cols, row_nnz, replace=False)] = rng.normal(size=row_nnz)
+    j = int(rng.choice(np.flatnonzero(T[i])))
+    return T, i, j
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 12), (30, 40), (150, 160), (300, 330)])
+def test_sparse_pivot_equals_dense_rank_one_update(rows, cols):
+    rng = np.random.default_rng(rows)
+    for _ in range(20):
+        T, i, j = _random_tableau(rng, rows, cols, int(rng.integers(1, 12)))
+        # the dense rank-1 update, written out
+        ref = T.copy()
+        ref[i] /= ref[i, j]
+        col = ref[:, j].copy()
+        col[i] = 0.0
+        ref -= np.outer(col, ref[i])
+        got, basis = T.copy(), np.zeros(rows, dtype=int)
+        optcore._pivot(got, basis, i, j)
+        assert np.array_equal(got, ref)
+        assert basis[i] == j
+    # the first two sizes take the dense update, the last two the sparse one
+    assert (rows * cols > optcore._SPARSE_PIVOT_CELLS) == (rows >= 150)
+
+
+def test_lp_ratio_test_skips_roundoff_entries():
+    # A joint-blend LP (n=4, m=2, p=8, varying Psi) whose entering columns
+    # carry roundoff entries of 1e-10 to 3e-10.  Pivoting on them blew the
+    # tableau up, and the simplex returned an infeasible point.  The optimum
+    # is the one scipy's HiGHS reports.
+    data = np.load(Path(__file__).parent / "data" / "joint_blend_roundoff_pivot.npz")
+    res = solve_lp(LpProblem.maximize(data["c"], data["a_ineq"], data["b_ineq"],
+                                      data["lo"], data["hi"]))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(-2.8663286406934425, abs=1e-6)
+
+
+def _varying_corridor(rng, n, m, rho):
+    """Box hull with 2m two-sided corridor rows and an input gain affine in x."""
+    A = rng.normal(0.0, 0.5, (n, n))
+    B0 = rng.normal(0.0, 1.0, (n, m))
+    a = rng.normal(size=(2 * m, n))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    half = rng.uniform(0.7, 1.3, n)
+    half *= rho / (np.abs(a @ (A + np.eye(n))) @ half).max()
+    B1 = rng.normal(0.0, 1.0, (n, m, n)) * 0.3 / (n * half.max())
+    psi, delta = [], []
+    for sa in [s * ai for ai in a for s in (1.0, -1.0)]:
+        psi.append([QuadFunc(c=sa @ B1[:, k, :], d=float(sa @ B0[:, k]), n=n)
+                    for k in range(m)])
+        delta.append(QuadFunc(c=A.T @ sa + sa, d=1.0, n=n))
+    hull = Hull(np.array(list(product(*[(-h, h) for h in half]))))
+    return StackedMap(psi, delta), hull, InputSet(box=(-np.ones(m), np.ones(m)))
+
+
+def test_joint_blend_lp_matches_highs(monkeypatch):
+    from scipy.optimize import linprog
+
+    lps = []
+
+    def spy(prob, tol=DEFAULT):
+        lps.append((prob, solve_lp(prob, tol)))
+        return lps[-1][1]
+
+    monkeypatch.setattr(certificates, "solve_lp", spy)
+    stack, hull, input_set = _varying_corridor(np.random.default_rng(5), 4, 2, 2.0)
+    cpc_blend_joint(stack, hull, input_set)
+    prob, res = lps[0]
+    assert prob.a_ineq.shape == (16 * 8 + 120 * 8, 16 * 2 + 1)
+    ref = linprog(-prob.c, A_ub=prob.a_ineq, b_ub=prob.b_ineq,
+                  bounds=list(zip(prob.lo, prob.hi)), method="highs")
+    assert res.status == "optimal" and ref.status == 0
+    assert res.value == pytest.approx(-ref.fun, abs=1e-6)
 
 
 # --------------------------------------------------------------------------
