@@ -9,10 +9,9 @@ main entry points are ``certify`` (cascade of sufficient certificates),
 ``partition_hull`` (explicit piecewise-affine QP filter).
 """
 from .tolerances import DEFAULT, Tolerances
-from .problem import (AffineStack, BaryCoord, DesiredInput, Hull, InputSet,
-                      Problem, QuadFunc, StackedMap, build_from_lti,
-                      dict_to_problem, eval_stack, load_problem,
-                      problem_to_dict, save_problem)
+from .problem import (AffineStack, DesiredInput, Hull, InputSet, Problem,
+                      QuadFunc, StackedMap, build_from_lti, dict_to_problem,
+                      eval_stack, load_problem, problem_to_dict, save_problem)
 from .curvature import (A3Violated, AssumptionReport, ConeViolation,
                         CurvatureClass, SignCone, classify_quadratic,
                         column_curvature, concavity_witness, sign_cone,
@@ -30,9 +29,8 @@ from .oracle import (ScanReport, check_certificate, grid_scan,
 from .explicit import (AffineLaw, Assumption2Violated, CriticalRegion,
                        ExplicitController, LicqViolated, NoRegion,
                        NotInRegion, OutsideHull, UnresolvedRegion,
-                       active_set_at, eval_explicit, hull_halfspaces,
-                       interpolate_on_region, kkt_affine_law, partition_hull,
-                       verify_region)
+                       eval_explicit, hull_halfspaces, interpolate_on_region,
+                       kkt_affine_law, partition_hull, verify_region)
 from .sim import (AffineClipController, ConstantController,
                   ControllerFailure, Dynamics, ExplicitPwaController,
                   QpFilterController, Trajectory, integrate, safety_margin)
@@ -45,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT", "Tolerances",
-    "AffineStack", "BaryCoord", "DesiredInput", "Hull", "InputSet",
+    "AffineStack", "DesiredInput", "Hull", "InputSet",
     "Problem", "QuadFunc", "StackedMap", "build_from_lti", "dict_to_problem",
     "eval_stack", "load_problem", "problem_to_dict", "save_problem",
     "A3Violated", "AssumptionReport", "ConeViolation", "CurvatureClass",
@@ -62,7 +60,7 @@ __all__ = [
     "replay_margins", "sample_hull",
     "AffineLaw", "Assumption2Violated", "CriticalRegion",
     "ExplicitController", "LicqViolated", "NoRegion", "NotInRegion",
-    "OutsideHull", "UnresolvedRegion", "active_set_at", "eval_explicit",
+    "OutsideHull", "UnresolvedRegion", "eval_explicit",
     "hull_halfspaces", "interpolate_on_region", "kkt_affine_law",
     "partition_hull", "verify_region",
     "AffineClipController", "ConstantController", "ControllerFailure",

@@ -215,6 +215,11 @@ def get_problem(name: str) -> Problem:
     return builders[name]()
 
 
+# Vertex inputs that ``certify`` feeds to its interval stage, by fixture name.
+REFERENCE_VERTEX_INPUTS = {"example1": example1_reference_vertex_inputs,
+                           "case1": case1_reference_vertex_inputs}
+
+
 # --------------------------------------------------------------------------
 # full studies
 
@@ -293,9 +298,9 @@ def run_case_study(name: str, out_dir=None, seed: int = 7,
         bundle["scan"] = scan.to_dict()
         winning = out.certificate if out.valid else None
         witness = case2_reference_witness()
-        wm = np.array([float((stack.psi_at(v) @ witness
-                              + stack.delta_at(v)).min())
-                       for v in hull.vertices])
+        psis, deltas = stack.eval(hull.vertices)
+        wm = np.array([float((psi @ witness + delta).min())
+                       for psi, delta in zip(psis, deltas)])
         bundle["reference_witness"] = {"u": witness.tolist(),
                                        "vertex_margins": wm.tolist(),
                                        "min_margin": float(wm.min())}
@@ -310,9 +315,9 @@ def run_case_study(name: str, out_dir=None, seed: int = 7,
         bundle["blend"] = bj.to_dict()
         winning = bj.certificate if bj.valid else None
         ref = case3_reference_vertex_inputs()
-        margins = np.array([float((stack.psi_at(v) @ ref[j]
-                                   + stack.delta_at(v)).min())
-                            for j, v in enumerate(hull.vertices)])
+        psis, deltas = stack.eval(hull.vertices)
+        margins = np.array([float((psi @ u + delta).min())
+                            for psi, u, delta in zip(psis, ref, deltas)])
         bundle["reference_vertex_inputs"] = {
             "inputs": ref.tolist(), "margins": margins.tolist(),
             "pairwise_max": float(pairwise_check(stack, hull, ref))}

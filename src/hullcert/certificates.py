@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import A3Violated, sign_cone, uniform_column_sign
-from .optcore import LpProblem, margin_lp, solve_lp
+from .optcore import LpProblem, margin_lp, margin_problem, solve_lp
 from .problem import Hull, InputSet, StackedMap
 from .tolerances import DEFAULT, Tolerances
 
@@ -155,10 +155,8 @@ class CertificateOutcome:
 
 def _vertex_margins(stack: StackedMap, hull: Hull, u: np.ndarray) -> np.ndarray:
     """[N, p] row margins of a constant input at every hull vertex."""
-    out = np.empty((hull.N, stack.p))
-    for j, v in enumerate(hull.vertices):
-        out[j] = stack.psi_at(v) @ u + stack.delta_at(v)
-    return out
+    psis, deltas = stack.eval(hull.vertices)
+    return psis @ u + deltas
 
 
 def _box_vertex_margins(stack: StackedMap, hull: Hull,
@@ -168,11 +166,8 @@ def _box_vertex_margins(stack: StackedMap, hull: Hull,
     min over the box of psi_r . u is separable: sum_k min(psi_rk lo_k,
     psi_rk hi_k).
     """
-    out = np.empty((hull.N, stack.p))
-    for j, v in enumerate(hull.vertices):
-        psi = stack.psi_at(v)
-        out[j] = np.minimum(psi * lo, psi * hi).sum(axis=1) + stack.delta_at(v)
-    return out
+    psis, deltas = stack.eval(hull.vertices)
+    return np.minimum(psis * lo, psis * hi).sum(axis=2) + deltas
 
 
 def _box_inside_input_set(input_set: InputSet, lo, hi, tol: Tolerances) -> bool:
@@ -192,6 +187,43 @@ def _cone_bounds(stack: StackedMap, tol: Tolerances):
     return cone.lo, cone.hi
 
 
+def _solve_margin(method: str, stack: StackedMap, hull: Hull,
+                  input_set: InputSet, per_vertex: bool, tol: Tolerances):
+    """The LP stage of cpc_common and, ``per_vertex``, cpc_blend_joint.
+
+    Clips the admissible box to the sign cone and solves the margin LP over
+    the hull vertices.  Returns (z, psis, deltas) at an optimum, else the
+    failed outcome under ``method``.  The margin can grow without bound only
+    along unbounded inputs, and any feasible point already certifies, so an
+    unbounded LP is solved again for a feasible point with t <= 0.
+    """
+    try:
+        cone_lo, cone_hi = _cone_bounds(stack, tol)
+    except A3Violated as exc:
+        return CertificateOutcome(method, False, reason=str(exc))
+    blo, bhi = input_set.bounds()
+    ulo, uhi = np.maximum(blo, cone_lo), np.minimum(bhi, cone_hi)
+    if np.any(ulo > uhi):
+        return CertificateOutcome(
+            method, False, reason="input set does not meet the sign cone")
+    psis, deltas = stack.eval(hull.vertices)
+    prob = margin_problem(psis, deltas, input_set, ulo, uhi, per_vertex)
+    res = solve_lp(prob, tol)
+    if res.status == "unbounded":
+        res = solve_lp(LpProblem.maximize(
+            np.zeros_like(prob.c), np.vstack([prob.a_ineq, prob.c[None, :]]),
+            np.concatenate([prob.b_ineq, [0.0]]), prob.lo, prob.hi), tol)
+        if res.status != "optimal":
+            return CertificateOutcome(method, False,
+                                      reason="degenerate unbounded margin")
+    elif res.status != "optimal":
+        return CertificateOutcome(
+            method, False, margin=-np.inf,
+            reason="no admissible vertex inputs" if per_vertex
+            else "no admissible input at all")
+    return res.z, psis, deltas
+
+
 def find_vertex_inputs(stack: StackedMap, hull: Hull, input_set: InputSet,
                        restrict_to_cone: bool = False,
                        tol: Tolerances = DEFAULT):
@@ -204,10 +236,11 @@ def find_vertex_inputs(stack: StackedMap, hull: Hull, input_set: InputSet,
     cone_lo = cone_hi = None
     if restrict_to_cone:
         cone_lo, cone_hi = _cone_bounds(stack, tol)
+    psis, deltas = stack.eval(hull.vertices)
     inputs = np.empty((hull.N, stack.m))
     margins = np.empty(hull.N)
-    for j, v in enumerate(hull.vertices):
-        status, t, u = margin_lp(stack.psi_at(v), stack.delta_at(v), input_set,
+    for j in range(hull.N):
+        status, t, u = margin_lp(psis[j], deltas[j], input_set,
                                  cone_lo=cone_lo, cone_hi=cone_hi, tol=tol)
         if status != "optimal" or t < -tol.feas:
             raise VertexIncompatible(j, t if status == "optimal" else -np.inf)
@@ -223,9 +256,8 @@ def pairwise_check(stack: StackedMap, hull: Hull,
     Nonpositive is the coupling condition under which barycentric blends of
     per-vertex inputs stay valid.  Identically zero when Psi is constant.
     """
-    V = hull.vertices
     U = np.asarray(vertex_inputs, dtype=float)
-    psis = np.stack([stack.psi_at(v) for v in V])
+    psis, _ = stack.eval(hull.vertices)
     worst = -np.inf
     for i in range(hull.N):
         for j in range(i + 1, hull.N):
@@ -306,7 +338,7 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
     except A3Violated as exc:
         return CertificateOutcome("cpc_interval", False, reason=str(exc))
     blo, bhi = input_set.bounds()
-    psis = np.stack([stack.psi_at(v) for v in hull.vertices])  # [N, p, m]
+    psis, _ = stack.eval(hull.vertices)  # [N, p, m]
 
     lo = np.empty(stack.m)
     hi = np.empty(stack.m)
@@ -355,44 +387,12 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
 def cpc_common(stack: StackedMap, hull: Hull, input_set: InputSet,
                tol: Tolerances = DEFAULT) -> CertificateOutcome:
     """Best single constant input over all hull vertices, by one LP."""
-    try:
-        cone_lo, cone_hi = _cone_bounds(stack, tol)
-    except A3Violated as exc:
-        return CertificateOutcome("cpc_common", False, reason=str(exc))
-    p, m, N = stack.p, stack.m, hull.N
-    psis = np.stack([stack.psi_at(v) for v in hull.vertices])
-    deltas = np.stack([stack.delta_at(v) for v in hull.vertices])
-    rows = np.concatenate(
-        [np.hstack([-psis[j], np.ones((p, 1))]) for j in range(N)])
-    offs = deltas.reshape(-1)
-    if input_set.polytope is not None:
-        G, b = input_set.polytope
-        rows = np.vstack([rows, np.hstack([G, np.zeros((G.shape[0], 1))])])
-        offs = np.concatenate([offs, b])
-    blo, bhi = input_set.bounds()
-    lo = np.concatenate([np.maximum(blo, cone_lo), [-np.inf]])
-    hi = np.concatenate([np.minimum(bhi, cone_hi), [np.inf]])
-    if np.any(lo[:m] > hi[:m]):
-        return CertificateOutcome(
-            "cpc_common", False,
-            reason="input set does not meet the sign cone")
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    res = solve_lp(LpProblem.maximize(c, rows, offs, lo, hi), tol)
-    if res.status == "unbounded":
-        # Margin can grow without bound only along unbounded inputs; any
-        # feasible point already certifies, so grab one with margin 0.
-        res = solve_lp(LpProblem.maximize(
-            np.zeros(m + 1), np.vstack([rows, [c]]), np.concatenate([offs, [0.0]]),
-            lo, hi), tol)
-        if res.status != "optimal":
-            return CertificateOutcome("cpc_common", False,
-                                      reason="degenerate unbounded margin")
-    elif res.status != "optimal":
-        return CertificateOutcome("cpc_common", False, margin=-np.inf,
-                                  reason="no admissible input at all")
-    u, t = res.z[:m], float(res.z[m])
-    worst = float(_vertex_margins(stack, hull, u).min())
+    lp = _solve_margin("cpc_common", stack, hull, input_set, False, tol)
+    if isinstance(lp, CertificateOutcome):
+        return lp
+    z, psis, deltas = lp
+    u, t = z[:-1], float(z[-1])
+    worst = float((psis @ u + deltas).min())
     if t < -tol.feas or worst < -tol.feas:
         return CertificateOutcome(
             "cpc_common", False, margin=t,
@@ -411,65 +411,13 @@ def cpc_blend_joint(stack: StackedMap, hull: Hull, input_set: InputSet,
     barycentric blend inherit the worst vertex margin.  With constant Psi the
     coupling rows vanish identically and are skipped.
     """
-    try:
-        cone_lo, cone_hi = _cone_bounds(stack, tol)
-    except A3Violated as exc:
-        return CertificateOutcome("cpc_blend", False, reason=str(exc))
-    p, m, N = stack.p, stack.m, hull.N
-    nv = N * m + 1
-    psis = np.stack([stack.psi_at(v) for v in hull.vertices])
-    deltas = np.stack([stack.delta_at(v) for v in hull.vertices])
-    psi_constant = bool(np.allclose(psis, psis[0], atol=1e-13))
-
-    rows = []
-    offs = []
-    for j in range(N):
-        block = np.zeros((p, nv))
-        block[:, j * m:(j + 1) * m] = -psis[j]
-        block[:, -1] = 1.0
-        rows.append(block)
-        offs.append(deltas[j])
-    if not psi_constant:
-        for i in range(N):
-            for j in range(i + 1, N):
-                diff = psis[i] - psis[j]  # [p, m]
-                block = np.zeros((p, nv))
-                block[:, i * m:(i + 1) * m] = diff
-                block[:, j * m:(j + 1) * m] = -diff
-                rows.append(block)
-                offs.append(np.zeros(p))
-    if input_set.polytope is not None:
-        G, b = input_set.polytope
-        for j in range(N):
-            block = np.zeros((G.shape[0], nv))
-            block[:, j * m:(j + 1) * m] = G
-            rows.append(block)
-            offs.append(b)
-    blo, bhi = input_set.bounds()
-    ulo = np.maximum(blo, cone_lo)
-    uhi = np.minimum(bhi, cone_hi)
-    if np.any(ulo > uhi):
-        return CertificateOutcome(
-            "cpc_blend", False, reason="input set does not meet the sign cone")
-    lo = np.concatenate([np.tile(ulo, N), [-np.inf]])
-    hi = np.concatenate([np.tile(uhi, N), [np.inf]])
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    res = solve_lp(LpProblem.maximize(c, np.vstack(rows), np.concatenate(offs),
-                                      lo, hi), tol)
-    if res.status == "unbounded":
-        res = solve_lp(LpProblem.maximize(
-            np.zeros(nv), np.vstack(rows + [c[None, :]]),
-            np.concatenate(offs + [np.zeros(1)]), lo, hi), tol)
-        if res.status != "optimal":
-            return CertificateOutcome("cpc_blend", False,
-                                      reason="degenerate unbounded margin")
-    elif res.status != "optimal":
-        return CertificateOutcome("cpc_blend", False, margin=-np.inf,
-                                  reason="no admissible vertex inputs")
-    t = float(res.z[-1])
-    U = res.z[:-1].reshape(N, m)
-    worst = min(float((psis[j] @ U[j] + deltas[j]).min()) for j in range(N))
+    lp = _solve_margin("cpc_blend", stack, hull, input_set, True, tol)
+    if isinstance(lp, CertificateOutcome):
+        return lp
+    z, psis, deltas = lp
+    U, t = z[:-1].reshape(hull.N, stack.m), float(z[-1])
+    worst = min(float((psi @ u + delta).min())
+                for psi, u, delta in zip(psis, U, deltas))
     pmax = pairwise_check(stack, hull, U)
     if t < -tol.feas or worst < -tol.feas or pmax > tol.feas:
         return CertificateOutcome(

@@ -145,11 +145,8 @@ def cmd_certify(args) -> int:
         bad = set(order) - {"endpoint", "interval", "common", "blend"}
         if bad or not order:
             raise UsageError(f"unknown cascade stages {sorted(bad)}")
-    vertex_inputs = None
-    if args.problem == "example1":
-        vertex_inputs = cases.example1_reference_vertex_inputs()
-    elif args.problem == "case1":
-        vertex_inputs = cases.case1_reference_vertex_inputs()
+    reference = cases.REFERENCE_VERTEX_INPUTS.get(args.problem)
+    vertex_inputs = reference() if reference else None
     cert, diag = certify(prob.stack, prob.hull, prob.input_set,
                          vertex_inputs=vertex_inputs, order=order, tol=tol)
     report = {"command": "certify", "problem": args.problem,

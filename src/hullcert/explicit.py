@@ -17,7 +17,8 @@ import numpy as np
 
 from .optcore import InfeasibleQP, LpProblem, WarmQp, solve_lp
 from .oracle import sample_hull
-from .problem import DesiredInput, Hull, InputSet, StackedMap
+from .problem import (DesiredInput, Hull, InputSet, StackedMap,
+                      barycentric_lp)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -203,7 +204,7 @@ def assumption2_data(stack: StackedMap, hull: Hull, tol: Tolerances = DEFAULT):
             if not stack.psi[r][k].is_affine(tol=tol.eig):
                 raise Assumption2Violated(
                     f"Psi entry ({r},{k}) is not affine")
-    psis = np.stack([stack.psi_at(v) for v in hull.vertices])
+    psis, _ = stack.eval(hull.vertices)
     if not np.allclose(psis, psis[0], atol=1e-10):
         raise Assumption2Violated("Psi varies across the hull vertices")
     psi_bar = psis[0]
@@ -269,24 +270,6 @@ def kkt_affine_law(psi_bar, d_mat, d0, G, b, u_gain, u0,
                      a_set=a_set, b_set=b_set)
 
 
-def active_set_at(stack: StackedMap, x, input_set: InputSet, u_des,
-                  tol: Tolerances = DEFAULT):
-    """Active sets of the safety QP at one state: (A, B, QpSolution).
-
-    Weakly active rows (zero residual and zero multiplier) are classified
-    inactive; strict complementarity is assumed to hold on region interiors.
-    """
-    from .optcore import solve_qp_projection
-    x = np.asarray(x, dtype=float)
-    ud = u_des(x) if callable(u_des) else np.asarray(u_des, dtype=float)
-    sol = solve_qp_projection(ud, stack.psi_at(x), stack.delta_at(x),
-                              input_set, tol=tol)
-    a_set = tuple(i for i in sol.active_cbf if i not in sol.weakly_active_cbf)
-    b_set = tuple(i for i in sol.active_input
-                  if i not in sol.weakly_active_input)
-    return a_set, b_set, sol
-
-
 # --------------------------------------------------------------------------
 # region geometry
 
@@ -350,9 +333,12 @@ def _region_vertices(rows: np.ndarray, offs: np.ndarray,
         return np.array([[float(los.max())], [float(ups.min())]])
     from scipy.spatial import HalfspaceIntersection
     hs = np.hstack([rows, -offs[:, None]])
-    inter = HalfspaceIntersection(hs, interior)
-    pts = np.unique(np.round(inter.intersections, 9), axis=0)
-    return pts
+    pts = HalfspaceIntersection(hs, interior).intersections
+    # A vertex where more than n halfspaces meet comes out once per n of
+    # them.  Keep the first copy as computed: rounding would move vertices by
+    # up to 5e-10, which verify_region's 1e-9 residual checks can notice.
+    close = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2) <= 1e-9
+    return pts[~np.triu(close, 1).any(axis=0)]
 
 
 def verify_region(region: CriticalRegion, vertices: np.ndarray,
@@ -456,7 +442,13 @@ def partition_hull(stack: StackedMap, hull: Hull, input_set: InputSet,
             first_seed[key] = x
             order.append(key)
 
-    hull_R, hull_s = hull_halfspaces(hull)
+    from scipy.spatial import QhullError
+
+    try:
+        hull_R, hull_s = hull_halfspaces(hull)
+    except QhullError as exc:  # e.g. a hull of lower dimension than n
+        raise UnresolvedRegion(
+            f"hull facets: qhull failed ({str(exc).splitlines()[0]})") from exc
     regions = []
     for a_set, b_set in order:
         try:
@@ -495,7 +487,12 @@ def partition_hull(stack: StackedMap, hull: Hull, input_set: InputSet,
         if cheb is None or cheb[1] <= 1e-9:
             continue  # sliver: seeds sat exactly on an activity boundary
         center, radius = cheb
-        verts = _region_vertices(rows, offs, center)
+        try:
+            verts = _region_vertices(rows, offs, center)
+        except QhullError as exc:
+            raise UnresolvedRegion(
+                f"region A={a_set}, B={b_set} vertex enumeration: qhull "
+                f"failed ({str(exc).splitlines()[0]})") from exc
         region = CriticalRegion(a_set=a_set, b_set=b_set, law=law,
                                 rows=rows, offs=offs, interior=center,
                                 radius=radius, vertices=verts)
@@ -530,14 +527,10 @@ def interpolate_on_region(x, region_vertices, vertex_optima,
     U = np.atleast_2d(np.asarray(vertex_optima, dtype=float))
     if V.shape[0] != U.shape[0]:
         raise ValueError("vertex and optimum counts differ")
-    N = V.shape[0]
-    rows = np.vstack([V.T, -V.T, np.ones((1, N)), -np.ones((1, N))])
-    offs = np.concatenate([x + tol, -(x - tol), [1.0 + tol], [-(1.0 - tol)]])
-    res = solve_lp(LpProblem.maximize(
-        np.zeros(N), rows, offs, np.zeros(N), np.ones(N)))
-    if res.status != "optimal":
+    lam = barycentric_lp(V, x, tol)
+    if lam is None:
         raise NotInRegion(
             f"{x.tolist()} is not in the convex hull of the region vertices")
-    lam = np.clip(res.z, 0.0, None)
+    lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum()
     return lam @ U

@@ -4,6 +4,13 @@ Both solvers are deliberately self-contained: a two-phase tableau simplex with
 Bland's rule for linear programs, and a primal active-set method for the
 identity-Hessian projection QP.  Pivot order is reproducible.
 
+Every margin LP (the pointwise margin at one state, the common-input
+certificate over all hull vertices, and the joint blend certificate with
+one input per vertex) is laid out by ``margin_problem``: margin rows
+[-Psi_j | 1] per evaluated state, then coupling rows between per-vertex
+inputs when Psi varies, then the input polytope rows.  One layout means one
+row and column order, so Bland's rule pivots the same way for each caller.
+
 The simplex keeps a dense tableau.  Most LPs here are tiny, but the joint
 blend LP couples every pair of hull vertices and reaches thousands of rows and
 columns, while its normalised pivot row has only tens of nonzeros.  On
@@ -236,6 +243,55 @@ def solve_lp(prob: LpProblem, tol: Tolerances = DEFAULT) -> LpResult:
     return LpResult("optimal", z=x, value=float(c @ x), active_rows=active)
 
 
+def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
+                   ulo: np.ndarray, uhi: np.ndarray,
+                   per_vertex: bool = False) -> LpProblem:
+    """The margin LP over N evaluated states: maximize t subject to
+    Psi_j u + delta_j >= t 1 for j = 1..N and ulo <= u <= uhi, G u <= b.
+
+    ``psis`` is [N, p, m] and ``deltas`` [N, p].  Variables are (u, t), with
+    one shared u, or (u^1, ..., u^N, t) with ``per_vertex``.  Rows come in
+    this order: the N margin blocks [-Psi_j | 1] (with ``per_vertex``, -Psi_j
+    sits in the columns of u^j); with ``per_vertex`` and Psi not constant
+    across the states, the coupling rows (Psi_i - Psi_j)(u^i - u^j) <= 0 for
+    each pair i < j, which make every barycentric blend of the u^j keep the
+    worst margin; then the polytope rows [G | 0], once per input copy.
+    """
+    N, p, m = psis.shape
+    copies = N if per_vertex else 1
+    nv = copies * m + 1
+    rows, offs = [], []
+    for j in range(N):
+        block = np.zeros((p, nv))
+        k = j if per_vertex else 0
+        block[:, k * m:(k + 1) * m] = -psis[j]
+        block[:, -1] = 1.0
+        rows.append(block)
+        offs.append(deltas[j])
+    if per_vertex and not np.allclose(psis, psis[0], atol=1e-13):
+        for i in range(N):
+            for j in range(i + 1, N):
+                diff = psis[i] - psis[j]  # [p, m]
+                block = np.zeros((p, nv))
+                block[:, i * m:(i + 1) * m] = diff
+                block[:, j * m:(j + 1) * m] = -diff
+                rows.append(block)
+                offs.append(np.zeros(p))
+    if input_set.polytope is not None:
+        G, b = input_set.polytope
+        for j in range(copies):
+            block = np.zeros((G.shape[0], nv))
+            block[:, j * m:(j + 1) * m] = G
+            rows.append(block)
+            offs.append(b)
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    return LpProblem.maximize(
+        c, np.vstack(rows), np.concatenate(offs),
+        np.concatenate([ulo] * copies + [[-np.inf]]),
+        np.concatenate([uhi] * copies + [[np.inf]]))
+
+
 def margin_lp(psi_x: np.ndarray, delta_x: np.ndarray, input_set: InputSet,
               cone_lo=None, cone_hi=None,
               tol: Tolerances = DEFAULT) -> tuple[str, float, np.ndarray | None]:
@@ -247,7 +303,7 @@ def margin_lp(psi_x: np.ndarray, delta_x: np.ndarray, input_set: InputSet,
     """
     psi_x = np.atleast_2d(np.asarray(psi_x, dtype=float))
     delta_x = np.atleast_1d(np.asarray(delta_x, dtype=float))
-    p, m = psi_x.shape
+    m = psi_x.shape[1]
     lo, hi = input_set.bounds()
     if cone_lo is not None:
         lo = np.maximum(lo, cone_lo)
@@ -255,18 +311,8 @@ def margin_lp(psi_x: np.ndarray, delta_x: np.ndarray, input_set: InputSet,
         hi = np.minimum(hi, cone_hi)
     if np.any(lo > hi + 1e-15):
         return "infeasible", -np.inf, None
-    rows = [np.hstack([-psi_x, np.ones((p, 1))])]
-    offs = [delta_x]
-    if input_set.polytope is not None:
-        G, b = input_set.polytope
-        rows.append(np.hstack([G, np.zeros((G.shape[0], 1))]))
-        offs.append(b)
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    prob = LpProblem.maximize(
-        c, a_ineq=np.vstack(rows), b_ineq=np.concatenate(offs),
-        lo=np.concatenate([lo, [-np.inf]]), hi=np.concatenate([hi, [np.inf]]))
-    res = solve_lp(prob, tol)
+    res = solve_lp(margin_problem(psi_x[None], delta_x[None], input_set, lo, hi),
+                   tol)
     if res.status == "optimal":
         return "optimal", float(res.z[m]), res.z[:m]
     if res.status == "unbounded":
@@ -392,13 +438,9 @@ def solve_qp_projection(u_des, psi_x, delta_x, input_set: InputSet,
     else:
         raise NumericalFailure("active-set iteration limit reached")
 
-    lam = np.zeros(p)
-    nu = np.zeros(q)
-    for idx, row in enumerate(W):
-        if row < p:
-            lam[row] = float(lam_W[idx])
-        else:
-            nu[row - p] = float(lam_W[idx])
+    mults = np.zeros(nrows)
+    mults[W] = lam_W
+    lam, nu = mults[:p], mults[p:]
 
     resid = C @ u - d
     stat = u - u_des - psi_x.T @ lam + G.T @ nu
@@ -412,6 +454,14 @@ def solve_qp_projection(u_des, psi_x, delta_x, input_set: InputSet,
     np.clip(lam, 0.0, None, out=lam)
     np.clip(nu, 0.0, None, out=nu)
 
+    return _qp_solution(u, u_des, resid, lam, nu, p, tol, iterations)
+
+
+def _qp_solution(u, u_des, resid, lam, nu, p: int, tol: Tolerances,
+                 iterations: int) -> QpSolution:
+    """Package a KKT point: rows with residual at most tol.active are
+    active, and active rows whose multiplier is that small are weakly
+    active."""
     act = np.flatnonzero(resid <= tol.active)
     mults = np.concatenate([lam, nu])
     active_cbf = tuple(int(i) for i in act if i < p)
@@ -444,20 +494,6 @@ class WarmQp:
     _psi_ref: np.ndarray | None = None
     _C: np.ndarray | None = None
 
-    def _package(self, u, u_des, resid, lam, nu, p: int) -> QpSolution:
-        act = np.flatnonzero(resid <= self.tol.active)
-        mults = np.concatenate([lam, nu])
-        active_cbf = tuple(int(i) for i in act if i < p)
-        active_input = tuple(int(i) - p for i in act if i >= p)
-        return QpSolution(
-            u=u, active_cbf=active_cbf, active_input=active_input,
-            lam=lam, nu=nu,
-            value=float(0.5 * np.dot(u - u_des, u - u_des)), iterations=0,
-            weakly_active_cbf=tuple(
-                i for i in active_cbf if mults[i] <= self.tol.active),
-            weakly_active_input=tuple(
-                i for i in active_input if mults[p + i] <= self.tol.active))
-
     def solve(self, u_des, psi_x, delta_x) -> QpSolution:
         u_des = np.atleast_1d(np.asarray(u_des, dtype=float))
         psi_x = np.atleast_2d(np.asarray(psi_x, dtype=float))
@@ -487,20 +523,16 @@ class WarmQp:
                 u = u_des + CW.T @ alpha
                 resid = C @ u - d
                 if resid.min() >= -self.tol.feas:
-                    lam = np.zeros(p)
-                    nu = np.zeros(G.shape[0])
-                    for idx, row in enumerate(W):
-                        if row < p:
-                            lam[row] = alpha[idx]
-                        else:
-                            nu[row - p] = alpha[idx]
-                    sol = self._package(u, u_des, resid, lam, nu, p)
+                    mults = np.zeros(C.shape[0])
+                    mults[W] = alpha
+                    sol = _qp_solution(u, u_des, resid, mults[:p], mults[p:],
+                                       p, self.tol, 0)
         else:
             # Empty working set: the unconstrained optimum may just be feasible.
             resid = C @ u_des - d
             if resid.min() >= -self.tol.feas:
-                sol = self._package(u_des.copy(), u_des, resid,
-                                    np.zeros(p), np.zeros(G.shape[0]), p)
+                sol = _qp_solution(u_des.copy(), u_des, resid, np.zeros(p),
+                                   np.zeros(G.shape[0]), p, self.tol, 0)
         if sol is None:
             sol = solve_qp_projection(
                 u_des, psi_x, delta_x, self.input_set, tol=self.tol,

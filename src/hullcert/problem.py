@@ -152,6 +152,11 @@ class StackedMap:
         x = np.asarray(x, dtype=float)
         return np.array([q(x) for q in self.delta])
 
+    def eval(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(Psi [K, p, m], delta [K, p]) at each row of X [K, n], entry by entry."""
+        return (np.stack([self.psi_at(x) for x in X]),
+                np.stack([self.delta_at(x) for x in X]))
+
     def affine_arrays(self, tol: float = 1e-12) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""
         if self._aff is not False:
@@ -192,10 +197,21 @@ def eval_stack(stack: StackedMap, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.shape != (stack.n,):
         raise ValueError(f"state has shape {x.shape}, expected ({stack.n},)")
-    aff = stack.affine_arrays()
-    if aff is not None:
-        return aff.psi_at(x), aff.delta_at(x)
-    return stack.psi_at(x), stack.delta_at(x)
+    src = stack.affine_arrays() or stack
+    return src.psi_at(x), src.delta_at(x)
+
+
+def barycentric_lp(V: np.ndarray, x: np.ndarray, tol: float):
+    """Weights lam in [0, 1]^N with lam'V = x and sum lam = 1, each to within
+    tol, found by a feasibility LP; None when x is outside the hull of V."""
+    from .optcore import LpProblem, solve_lp
+
+    N = V.shape[0]
+    A = np.vstack([V.T, -V.T, np.ones((1, N)), -np.ones((1, N))])
+    b = np.concatenate([x + tol, -(x - tol), [1.0 + tol], [-(1.0 - tol)]])
+    res = solve_lp(LpProblem.maximize(np.zeros(N), a_ineq=A, b_ineq=b,
+                                      lo=np.zeros(N), hi=np.ones(N)))
+    return res.z if res.status == "optimal" else None
 
 
 class Hull:
@@ -255,17 +271,7 @@ class Hull:
 
     def barycentric(self, x, tol: float = 1e-9):
         """Coefficients lam >= 0, sum lam = 1, lam'V = x, or None when x is outside."""
-        from .optcore import LpProblem, solve_lp
-
-        x = np.asarray(x, dtype=float)
-        V = self.vertices
-        A = np.vstack([V.T, -V.T, np.ones((1, self.N)), -np.ones((1, self.N))])
-        b = np.concatenate([x + tol, -(x - tol), [1.0 + tol], [-(1.0 - tol)]])
-        res = solve_lp(LpProblem.maximize(np.zeros(self.N), a_ineq=A, b_ineq=b,
-                                          lo=np.zeros(self.N), hi=np.ones(self.N)))
-        if res.status != "optimal":
-            return None
-        return res.z
+        return barycentric_lp(self.vertices, np.asarray(x, dtype=float), tol)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.barycentric(x, tol) is not None
@@ -412,36 +418,6 @@ class DesiredInput:
     @classmethod
     def from_dict(cls, data: dict) -> "DesiredInput":
         return cls(np.asarray(data["U"], dtype=float), np.asarray(data["u0"], dtype=float))
-
-
-class BaryCoord:
-    """Barycentric coefficient vector: entries >= 0 and summing to one."""
-
-    __slots__ = ("lam",)
-
-    def __init__(self, lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if np.any(lam < -1e-10):
-            raise ValueError("barycentric coefficients must be nonnegative")
-        if abs(lam.sum() - 1.0) > 1e-10:
-            raise ValueError("barycentric coefficients must sum to one")
-        self.lam = _ro(np.clip(lam, 0.0, None))
-
-    @classmethod
-    def uniform(cls, N: int) -> "BaryCoord":
-        return cls(np.full(N, 1.0 / N))
-
-    @classmethod
-    def vertex(cls, N: int, j: int) -> "BaryCoord":
-        lam = np.zeros(N)
-        lam[j] = 1.0
-        return cls(lam)
-
-    def __len__(self) -> int:
-        return self.lam.shape[0]
-
-    def __repr__(self) -> str:
-        return f"BaryCoord({self.lam.tolist()})"
 
 
 def build_from_lti(A, B, cbf_rows, input_set: InputSet | None = None) -> StackedMap:

@@ -240,18 +240,13 @@ class QpFilterController:
             self.solver.hints = (np.asarray(feasible_hint, dtype=float),)
         self.status = "ok"
         self.last_solution = None
-        self._aff = stack.affine_arrays()
+        # the dense affine arrays when every entry is affine
+        self._src = stack.affine_arrays() or stack
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         ud = self.u_des(x) if callable(self.u_des) else self.u_des
-        if self._aff is not None:
-            psi = self._aff.psi_at(x)
-            delta = self._aff.delta_at(x)
-        else:
-            psi = self.stack.psi_at(x)
-            delta = self.stack.delta_at(x)
-        sol = self.solver.solve(ud, psi, delta)
+        sol = self.solver.solve(ud, self._src.psi_at(x), self._src.delta_at(x))
         self.last_solution = sol
         self.status = "active" if (sol.active_cbf or sol.active_input) \
             else "ok"

@@ -10,7 +10,7 @@ import pytest
 import hullcert
 from hullcert import cases
 from hullcert.cli import main
-from hullcert.problem import save_problem
+from hullcert.problem import Hull, InputSet, build_from_lti, save_problem
 
 
 def _read(path):
@@ -118,6 +118,19 @@ def test_explicit_case3_writes_controller(tmp_path):
 def test_explicit_on_quadratic_problem_is_inconclusive(capsys):
     assert main(["explicit", "--problem", "example1"]) == 2
     assert "synthesis failed" in capsys.readouterr().err
+
+
+def test_explicit_on_flat_hull_is_inconclusive(tmp_path, capsys):
+    # three collinear vertices in R^2: qhull cannot build the hull facets
+    cbfs = [([1.0, 0.0], 5.0, 1.0)]
+    path = tmp_path / "flat.json"
+    save_problem(path, build_from_lti(np.zeros((2, 2)), [[1.0], [0.0]], cbfs),
+                 Hull([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                 InputSet(box=(-np.ones(1), np.ones(1))),
+                 lti={"A": np.zeros((2, 2)), "B": [[1.0], [0.0]],
+                      "cbfs": cbfs})
+    assert main(["explicit", "--problem", str(path)]) == 2
+    assert "hull facets: qhull failed" in capsys.readouterr().err
 
 
 def test_simulate_case3_stays_safe(tmp_path):

@@ -8,7 +8,8 @@ from hullcert.explicit import (Assumption2Violated, ExplicitController,
                                UnresolvedRegion, eval_explicit,
                                interpolate_on_region, partition_hull)
 from hullcert.optcore import solve_qp_projection
-from hullcert.problem import DesiredInput, Hull, InputSet, QuadFunc, StackedMap
+from hullcert.problem import (DesiredInput, Hull, InputSet, QuadFunc, StackedMap,
+                              build_from_lti)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,33 @@ def test_input_bound_becomes_a_region():
         uq = solve_qp_projection(ud(x), prob.stack.psi_at(x),
                                  prob.stack.delta_at(x), box).u
         assert np.allclose(ctrl(x), uq, atol=1e-8)
+
+
+def test_generated_box_hull_partitions_and_verifies():
+    # An LTI corridor problem (n=2, m=1) whose region vertices land within
+    # 5e-10 of a verification threshold: with vertices rounded to 9
+    # decimals it raised UnresolvedRegion ("negative multiplier at vertex").
+    A = [[0.19773540648321117, 0.34012168790154795],
+         [-0.30227726824432577, -0.42269156540666]]
+    B = [[0.5401179977444014], [-1.0459586518201225]]
+    a = np.array([[0.8965010501837177, 0.4430416086774371],
+                  [0.20987301356983615, -0.9777286526307365]])
+    half = [0.5474448802108565, 0.5091647093333433]
+    stack = build_from_lti(A, B, [(s * ai, 1.0, 1.0) for ai in a
+                                  for s in (1.0, -1.0)])
+    hull = Hull([[sx * half[0], sy * half[1]]
+                 for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)])
+    box = InputSet(box=(-np.ones(1), np.ones(1)))
+    ud = DesiredInput([[-0.34632474039747124, -2.2066666252281943]],
+                      [0.3442910955452378])
+    ctrl = partition_hull(stack, hull, box, ud)
+    assert len(ctrl.regions) == 4
+    rng = np.random.default_rng(1)
+    for lam in rng.dirichlet(np.ones(hull.N), size=50):
+        x = lam @ hull.vertices
+        uq = solve_qp_projection(ud(x), stack.psi_at(x), stack.delta_at(x),
+                                 box).u
+        assert np.max(np.abs(ctrl(x) - uq)) <= 1e-7
 
 
 def test_duplicated_row_breaks_strict_complementarity():

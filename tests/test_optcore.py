@@ -207,6 +207,56 @@ def test_joint_blend_lp_matches_highs(monkeypatch):
 # margin LP
 
 
+def test_margin_problem_layouts():
+    prob = cases.case3_problem()
+    psis, deltas = prob.stack.eval(prob.hull.vertices)
+    lo, hi = prob.input_set.bounds()
+    N, p, m = psis.shape
+    # constant Psi: one margin block per vertex and no coupling rows
+    lp = optcore.margin_problem(psis, deltas, prob.input_set, lo, hi,
+                                per_vertex=True)
+    assert lp.a_ineq.shape == (N * p, N * m + 1)
+
+    # varying Psi with a polytope row: margin blocks, one coupling block per
+    # vertex pair, then one copy of the polytope per vertex input
+    stack, hull, box = _varying_corridor(np.random.default_rng(2), 2, 2, 1.0)
+    G, b = np.array([[1.0, 1.0]]), np.array([1.5])
+    us = InputSet(box=box.box, polytope=(G, b))
+    psis, deltas = stack.eval(hull.vertices)
+    lo, hi = us.bounds()
+    N, p, m = psis.shape
+    lp = optcore.margin_problem(psis, deltas, us, lo, hi, per_vertex=True)
+    assert lp.a_ineq.shape == (N * p + N * (N - 1) // 2 * p + N * 1, N * m + 1)
+    assert np.array_equal(lp.a_ineq[-1], np.concatenate([np.zeros((N - 1) * m),
+                                                         G[0], [0.0]]))
+
+
+def test_margin_lp_solves_the_single_state_layout(monkeypatch):
+    lps = []
+
+    def spy(prob, tol=DEFAULT):
+        lps.append(prob)
+        return solve_lp(prob, tol)
+
+    stack, hull, box = _varying_corridor(np.random.default_rng(2), 2, 2, 1.0)
+    us = InputSet(box=box.box, polytope=(np.array([[1.0, 1.0]]), np.array([1.5])))
+    psi, delta = stack.psi_at(hull.vertices[1]), stack.delta_at(hull.vertices[1])
+    monkeypatch.setattr(optcore, "solve_lp", spy)
+    margin_lp(psi, delta, us)
+    lo, hi = us.bounds()
+    want = optcore.margin_problem(psi[None], delta[None], us, lo, hi)
+    (got,) = lps
+    for field in ("c", "a_ineq", "b_ineq", "lo", "hi"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    # rows [-Psi | 1] then [G | 0]; maximize t over box-bounded u
+    G, b = us.polytope
+    assert np.array_equal(got.a_ineq, np.vstack([
+        np.hstack([-psi, np.ones((stack.p, 1))]), np.hstack([G, [[0.0]]])]))
+    assert np.array_equal(got.b_ineq, np.concatenate([delta, b]))
+    assert np.array_equal(got.c, [0.0, 0.0, 1.0])
+    assert np.array_equal(got.lo, [-1.0, -1.0, -np.inf])
+
+
 def test_margin_lp_example1_values():
     prob = cases.example1_problem()
     st, us = prob.stack, prob.input_set

@@ -84,6 +84,22 @@ def test_stacked_map_affine_arrays_fast_path():
     assert np.allclose(aff.delta_batch(X), [st.delta_at(x) for x in X])
 
 
+def test_stacked_map_eval_stacks_the_entrywise_values():
+    affine = StackedMap(
+        [[QuadFunc(c=[1.0, 0.0], d=2.0), QuadFunc(c=[0.0, -1.0], d=0.0)],
+         [QuadFunc(d=1.0, n=2), QuadFunc(c=[0.5, 0.5], d=-1.0)]],
+        [QuadFunc(c=[1.0, 1.0], d=0.0), QuadFunc(c=[0.0, 2.0], d=3.0)])
+    quadratic = StackedMap(
+        [[QuadFunc(Q=[[1.0, 0.3], [0.3, -2.0]], c=[0.1, 0.0], d=0.5)]],
+        [QuadFunc(Q=[[0.0, 1.0], [1.0, 0.0]], c=[1.0, -1.0], d=0.2)])
+    X = np.random.default_rng(4).normal(size=(5, 2))
+    for st in (affine, quadratic):
+        psi, delta = st.eval(X)
+        assert psi.shape == (5, st.p, st.m) and delta.shape == (5, st.p)
+        assert np.array_equal(psi, np.stack([st.psi_at(x) for x in X]))
+        assert np.array_equal(delta, np.stack([st.delta_at(x) for x in X]))
+
+
 def test_stacked_map_quadratic_has_no_affine_arrays():
     st = StackedMap([[QuadFunc(Q=[[1.0]])]], [QuadFunc(c=[1.0])])
     assert st.affine_arrays() is None
