@@ -9,32 +9,27 @@ main entry points are ``certify`` (cascade of sufficient certificates),
 ``partition_hull`` (explicit piecewise-affine QP filter).
 """
 from .tolerances import DEFAULT, Tolerances
-from .problem import (AffineStack, DesiredInput, Hull, InputSet, Problem,
-                      QuadFunc, StackedMap, build_from_lti, dict_to_problem,
-                      eval_stack, load_problem, problem_to_dict, save_problem)
-from .curvature import (A3Violated, AssumptionReport, ConeViolation,
-                        CurvatureClass, SignCone, classify_quadratic,
-                        column_curvature, concavity_witness, sign_cone,
-                        uniform_column_sign, validate_problem)
-from .optcore import (InfeasibleQP, LpProblem, LpResult, NumericalFailure,
-                      QpSolution, WarmQp, margin_lp, solve_lp,
-                      solve_qp_projection)
-from .certificates import (BlendCert, CertificateOutcome, CommonCert,
-                           IntervalCert, VertexIncompatible, blend_input,
+from .problem import (DesiredInput, Hull, InputSet, Problem, QuadFunc,
+                      StackedMap, build_from_lti, dict_to_problem,
+                      load_problem, problem_to_dict, save_problem)
+from .curvature import (A3Violated, ConeViolation, CurvatureClass,
+                        classify_quadratic, column_curvature,
+                        concavity_witness, sign_cone, uniform_column_sign,
+                        validate_problem)
+from .optcore import (InfeasibleQP, LpProblem, NumericalFailure, WarmQp,
+                      margin_lp, solve_lp, solve_qp_projection)
+from .certificates import (BlendCert, CommonCert, IntervalCert,
                            cert_from_dict, certify, cpc_blend_joint,
-                           cpc_blend_vertexwise, cpc_common, cpc_interval,
-                           endpoint_rule, find_vertex_inputs, pairwise_check)
-from .oracle import (ScanReport, check_certificate, grid_scan,
-                     pointwise_margin, replay_margins, sample_hull)
-from .explicit import (AffineLaw, Assumption2Violated, CriticalRegion,
-                       ExplicitController, LicqViolated, NoRegion,
+                           cpc_common, cpc_interval, endpoint_rule,
+                           pairwise_check)
+from .oracle import (check_certificate, grid_scan, pointwise_margin,
+                     sample_hull)
+from .explicit import (Assumption2Violated, ExplicitController, NoRegion,
                        NotInRegion, OutsideHull, UnresolvedRegion,
-                       eval_explicit, hull_halfspaces, interpolate_on_region,
-                       kkt_affine_law, partition_hull, verify_region)
+                       interpolate_on_region, partition_hull)
 from .sim import (AffineClipController, ConstantController,
                   ControllerFailure, Dynamics, ExplicitPwaController,
                   QpFilterController, Trajectory, integrate, safety_margin)
-from .reporting import jsonable, write_report
 from .cases import (CASE_NAMES, case1_problem, case2_problem, case3_problem,
                     case3_dynamics, cbf_rows, example1_problem, get_problem,
                     run_case_study, three_room_dynamics)
@@ -43,30 +38,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT", "Tolerances",
-    "AffineStack", "DesiredInput", "Hull", "InputSet",
-    "Problem", "QuadFunc", "StackedMap", "build_from_lti", "dict_to_problem",
-    "eval_stack", "load_problem", "problem_to_dict", "save_problem",
-    "A3Violated", "AssumptionReport", "ConeViolation", "CurvatureClass",
-    "SignCone", "classify_quadratic", "column_curvature",
-    "concavity_witness", "sign_cone", "uniform_column_sign",
-    "validate_problem",
-    "InfeasibleQP", "LpProblem", "LpResult", "NumericalFailure",
-    "QpSolution", "WarmQp", "margin_lp", "solve_lp", "solve_qp_projection",
-    "BlendCert", "CertificateOutcome", "CommonCert", "IntervalCert",
-    "VertexIncompatible", "blend_input", "cert_from_dict", "certify",
-    "cpc_blend_joint", "cpc_blend_vertexwise", "cpc_common", "cpc_interval",
-    "endpoint_rule", "find_vertex_inputs", "pairwise_check",
-    "ScanReport", "check_certificate", "grid_scan", "pointwise_margin",
-    "replay_margins", "sample_hull",
-    "AffineLaw", "Assumption2Violated", "CriticalRegion",
-    "ExplicitController", "LicqViolated", "NoRegion", "NotInRegion",
-    "OutsideHull", "UnresolvedRegion", "eval_explicit",
-    "hull_halfspaces", "interpolate_on_region", "kkt_affine_law",
-    "partition_hull", "verify_region",
+    "DesiredInput", "Hull", "InputSet", "Problem", "QuadFunc", "StackedMap",
+    "build_from_lti", "dict_to_problem", "load_problem", "problem_to_dict",
+    "save_problem",
+    "A3Violated", "ConeViolation", "CurvatureClass", "classify_quadratic",
+    "column_curvature", "concavity_witness", "sign_cone",
+    "uniform_column_sign", "validate_problem",
+    "InfeasibleQP", "LpProblem", "NumericalFailure", "WarmQp", "margin_lp",
+    "solve_lp", "solve_qp_projection",
+    "BlendCert", "CommonCert", "IntervalCert", "cert_from_dict", "certify",
+    "cpc_blend_joint", "cpc_common", "cpc_interval", "endpoint_rule",
+    "pairwise_check",
+    "check_certificate", "grid_scan", "pointwise_margin", "sample_hull",
+    "Assumption2Violated", "ExplicitController", "NoRegion", "NotInRegion",
+    "OutsideHull", "UnresolvedRegion", "interpolate_on_region",
+    "partition_hull",
     "AffineClipController", "ConstantController", "ControllerFailure",
     "Dynamics", "ExplicitPwaController", "QpFilterController", "Trajectory",
     "integrate", "safety_margin",
-    "jsonable", "write_report",
     "CASE_NAMES", "case1_problem", "case2_problem", "case3_problem",
     "case3_dynamics", "cbf_rows", "example1_problem", "get_problem",
     "run_case_study", "three_room_dynamics",

@@ -25,19 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import A3Violated, sign_cone, uniform_column_sign
-from .optcore import LpProblem, margin_lp, margin_problem, solve_lp
+from .optcore import LpProblem, margin_problem, solve_lp
 from .problem import Hull, InputSet, StackedMap
 from .tolerances import DEFAULT, Tolerances
-
-
-class VertexIncompatible(ValueError):
-    """Some hull vertex admits no feasible input at all."""
-
-    def __init__(self, vertex: int, margin: float):
-        self.vertex = vertex
-        self.margin = margin
-        super().__init__(
-            f"vertex {vertex} is incompatible (best margin {margin:.6g})")
 
 
 # --------------------------------------------------------------------------
@@ -92,7 +82,7 @@ class BlendCert:
     vertex_inputs: np.ndarray  # [N, m]
     margin: float
     pairwise_max: float
-    joint: bool = True
+    joint: bool = True  # False only in files from per-vertex-LP versions
 
     @property
     def method(self) -> str:
@@ -182,11 +172,6 @@ def _box_inside_input_set(input_set: InputSet, lo, hi, tol: Tolerances) -> bool:
     return True
 
 
-def _cone_bounds(stack: StackedMap, tol: Tolerances):
-    cone = sign_cone(stack, tol=tol.eig)
-    return cone.lo, cone.hi
-
-
 def _solve_margin(method: str, stack: StackedMap, hull: Hull,
                   input_set: InputSet, per_vertex: bool, tol: Tolerances):
     """The LP stage of cpc_common and, ``per_vertex``, cpc_blend_joint.
@@ -198,11 +183,11 @@ def _solve_margin(method: str, stack: StackedMap, hull: Hull,
     unbounded LP is solved again for a feasible point with t <= 0.
     """
     try:
-        cone_lo, cone_hi = _cone_bounds(stack, tol)
+        cone = sign_cone(stack, tol=tol.eig)
     except A3Violated as exc:
         return CertificateOutcome(method, False, reason=str(exc))
     blo, bhi = input_set.bounds()
-    ulo, uhi = np.maximum(blo, cone_lo), np.minimum(bhi, cone_hi)
+    ulo, uhi = np.maximum(blo, cone.lo), np.minimum(bhi, cone.hi)
     if np.any(ulo > uhi):
         return CertificateOutcome(
             method, False, reason="input set does not meet the sign cone")
@@ -224,29 +209,15 @@ def _solve_margin(method: str, stack: StackedMap, hull: Hull,
     return res.z, psis, deltas
 
 
-def find_vertex_inputs(stack: StackedMap, hull: Hull, input_set: InputSet,
-                       restrict_to_cone: bool = False,
-                       tol: Tolerances = DEFAULT):
-    """Best-margin input at each hull vertex, by LP.
-
-    Returns (inputs [N, m], margins [N]).  Raises VertexIncompatible as soon
-    as one vertex has no input with nonnegative margin; hull-wide claims are
-    pointless past that.
-    """
-    cone_lo = cone_hi = None
-    if restrict_to_cone:
-        cone_lo, cone_hi = _cone_bounds(stack, tol)
-    psis, deltas = stack.eval(hull.vertices)
-    inputs = np.empty((hull.N, stack.m))
-    margins = np.empty(hull.N)
-    for j in range(hull.N):
-        status, t, u = margin_lp(psis[j], deltas[j], input_set,
-                                 cone_lo=cone_lo, cone_hi=cone_hi, tol=tol)
-        if status != "optimal" or t < -tol.feas:
-            raise VertexIncompatible(j, t if status == "optimal" else -np.inf)
-        inputs[j] = u
-        margins[j] = t
-    return inputs, margins
+def _pairwise_max(psis: np.ndarray, U: np.ndarray) -> float:
+    """max over vertex pairs i<j and rows of (psi_r^i - psi_r^j).(u^i - u^j),
+    from the stack evaluated at the vertices (``psis`` [N, p, m])."""
+    worst = -np.inf
+    for i in range(len(psis)):
+        for j in range(i + 1, len(psis)):
+            vals = (psis[i] - psis[j]) @ (U[i] - U[j])
+            worst = max(worst, float(vals.max()))
+    return worst if len(psis) > 1 else 0.0
 
 
 def pairwise_check(stack: StackedMap, hull: Hull,
@@ -256,19 +227,8 @@ def pairwise_check(stack: StackedMap, hull: Hull,
     Nonpositive is the coupling condition under which barycentric blends of
     per-vertex inputs stay valid.  Identically zero when Psi is constant.
     """
-    U = np.asarray(vertex_inputs, dtype=float)
     psis, _ = stack.eval(hull.vertices)
-    worst = -np.inf
-    for i in range(hull.N):
-        for j in range(i + 1, hull.N):
-            vals = (psis[i] - psis[j]) @ (U[i] - U[j])
-            worst = max(worst, float(vals.max()))
-    return worst if hull.N > 1 else 0.0
-
-
-def blend_input(vertex_inputs: np.ndarray, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    return lam @ np.asarray(vertex_inputs, dtype=float)
+    return _pairwise_max(psis, np.asarray(vertex_inputs, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +294,7 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
     if U.shape != (hull.N, stack.m):
         raise ValueError("vertex_inputs must be [N, m]")
     try:
-        cone_lo, cone_hi = _cone_bounds(stack, tol)
+        cone = sign_cone(stack, tol=tol.eig)
     except A3Violated as exc:
         return CertificateOutcome("cpc_interval", False, reason=str(exc))
     blo, bhi = input_set.bounds()
@@ -359,8 +319,8 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
             l_k = float(U[helpful, k].max())
         if harmful.any():
             u_k = float(U[harmful, k].min())
-        lo[k] = max(l_k, blo[k], cone_lo[k])
-        hi[k] = min(u_k, bhi[k], cone_hi[k])
+        lo[k] = max(l_k, blo[k], cone.lo[k])
+        hi[k] = min(u_k, bhi[k], cone.hi[k])
         if lo[k] > hi[k] + tol.feas:
             return CertificateOutcome(
                 "cpc_interval", False,
@@ -418,45 +378,16 @@ def cpc_blend_joint(stack: StackedMap, hull: Hull, input_set: InputSet,
     U, t = z[:-1].reshape(hull.N, stack.m), float(z[-1])
     worst = min(float((psi @ u + delta).min())
                 for psi, u, delta in zip(psis, U, deltas))
-    pmax = pairwise_check(stack, hull, U)
+    pmax = _pairwise_max(psis, U)
     if t < -tol.feas or worst < -tol.feas or pmax > tol.feas:
         return CertificateOutcome(
             "cpc_blend", False, margin=t,
             reason="joint margin is negative" if t < -tol.feas
             else "witness re-verification failed",
             detail={"pairwise_max": pmax})
-    cert = BlendCert(U, worst, pmax, joint=True)
+    cert = BlendCert(U, worst, pmax)
     return CertificateOutcome("cpc_blend", True, cert, worst,
                               detail={"lp_margin": t, "pairwise_max": pmax})
-
-
-def cpc_blend_vertexwise(stack: StackedMap, hull: Hull, input_set: InputSet,
-                         tol: Tolerances = DEFAULT) -> CertificateOutcome:
-    """Blend certificate from independent per-vertex LPs.
-
-    Cheaper than the joint LP but the independently chosen inputs must then
-    pass the pairwise coupling check, which they are not optimized for.
-    """
-    try:
-        U, margins = find_vertex_inputs(stack, hull, input_set,
-                                        restrict_to_cone=True, tol=tol)
-    except VertexIncompatible as exc:
-        return CertificateOutcome("cpc_blend_vertexwise", False,
-                                  margin=exc.margin,
-                                  reason=str(exc))
-    except A3Violated as exc:
-        return CertificateOutcome("cpc_blend_vertexwise", False,
-                                  reason=str(exc))
-    pmax = pairwise_check(stack, hull, U)
-    worst = float(margins.min())
-    if pmax > tol.feas:
-        return CertificateOutcome(
-            "cpc_blend_vertexwise", False, margin=worst,
-            reason="pairwise coupling check failed",
-            detail={"pairwise_max": pmax})
-    cert = BlendCert(U, worst, pmax, joint=False)
-    return CertificateOutcome("cpc_blend_vertexwise", True, cert, worst,
-                              detail={"pairwise_max": pmax})
 
 
 _DEFAULT_ORDER = ("endpoint", "interval", "common", "blend")
@@ -464,15 +395,13 @@ _DEFAULT_ORDER = ("endpoint", "interval", "common", "blend")
 
 def certify(stack: StackedMap, hull: Hull, input_set: InputSet,
             vertex_inputs: np.ndarray | None = None,
-            order=None, joint_blend: bool = True,
-            tol: Tolerances = DEFAULT):
+            order=None, tol: Tolerances = DEFAULT):
     """Run the certificate cascade, cheapest first.
 
     Returns (certificate | None, diagnostics).  The diagnostics dict records
     every attempt in order with its validity, margin, and failure reason, and
     names the winning method (or None).  ``vertex_inputs`` feeds the interval
-    construction; without them that stage is skipped.  ``joint_blend=False``
-    swaps the joint blend LP for the per-vertex variant.
+    construction; without them that stage is skipped.
     """
     order = tuple(order) if order is not None else _DEFAULT_ORDER
     attempts = []
@@ -491,10 +420,7 @@ def certify(stack: StackedMap, hull: Hull, input_set: InputSet,
         elif name == "common":
             out = cpc_common(stack, hull, input_set, tol)
         elif name == "blend":
-            if joint_blend:
-                out = cpc_blend_joint(stack, hull, input_set, tol)
-            else:
-                out = cpc_blend_vertexwise(stack, hull, input_set, tol)
+            out = cpc_blend_joint(stack, hull, input_set, tol)
         else:
             raise ValueError(f"unknown cascade stage {name!r}")
         attempts.append(out.to_dict())

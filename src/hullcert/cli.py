@@ -127,6 +127,19 @@ def _digest(prob: Problem) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _setup(args) -> tuple:
+    """(tol, problem, report header) shared by the report subcommands.
+
+    Tolerance flags are checked before the problem is loaded, so a bad flag
+    is reported even when the problem is unreadable too.
+    """
+    tol = _resolve_tol(args)
+    prob = _resolve_problem(args.problem)
+    header = {"command": args.command, "problem": args.problem,
+              "problem_sha256": _digest(prob), "tolerances": tol.to_dict()}
+    return tol, prob, header
+
+
 def _emit(report: dict, out_dir, fname: str) -> None:
     if out_dir is None:
         json.dump(jsonable(report), sys.stdout, indent=2, sort_keys=True)
@@ -137,8 +150,7 @@ def _emit(report: dict, out_dir, fname: str) -> None:
 
 
 def cmd_certify(args) -> int:
-    tol = _resolve_tol(args)
-    prob = _resolve_problem(args.problem)
+    tol, prob, report = _setup(args)
     order = None
     if args.cascade:
         order = tuple(s.strip() for s in args.cascade.split(",") if s.strip())
@@ -149,9 +161,7 @@ def cmd_certify(args) -> int:
     vertex_inputs = reference() if reference else None
     cert, diag = certify(prob.stack, prob.hull, prob.input_set,
                          vertex_inputs=vertex_inputs, order=order, tol=tol)
-    report = {"command": "certify", "problem": args.problem,
-              "problem_sha256": _digest(prob), "tolerances": tol.to_dict(),
-              "result": diag}
+    report["result"] = diag
     if cert is not None:
         report["certificate"] = cert.to_dict()
     _emit(report, args.out, "certify.json")
@@ -172,13 +182,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    tol = _resolve_tol(args)
-    prob = _resolve_problem(args.problem)
+    tol, prob, report = _setup(args)
     scan = grid_scan(prob.stack, prob.hull, prob.input_set,
                      per_edge=args.grid, seed=args.seed, tol=tol)
-    report = {"command": "oracle", "problem": args.problem,
-              "problem_sha256": _digest(prob), "tolerances": tol.to_dict(),
-              "scan": scan.to_dict()}
+    report["scan"] = scan.to_dict()
     _emit(report, args.out, "scan.json")
     if args.out and args.format == "csv":
         scan.write_csv(os.path.join(args.out, "scan.csv"))
@@ -193,8 +200,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_explicit(args) -> int:
-    tol = _resolve_tol(args)
-    prob = _resolve_problem(args.problem)
+    tol, prob, report = _setup(args)
     try:
         controller = partition_hull(prob.stack, prob.hull, prob.input_set,
                                     prob.u_des, seed_per_edge=args.grid,
@@ -202,11 +208,9 @@ def cmd_explicit(args) -> int:
     except (Assumption2Violated, UnresolvedRegion) as exc:
         print(f"explicit synthesis failed: {exc}", file=sys.stderr)
         return 2
-    report = {"command": "explicit", "problem": args.problem,
-              "problem_sha256": _digest(prob), "tolerances": tol.to_dict(),
-              "n_regions": len(controller.regions),
-              "active_sets": [[list(r.a_set), list(r.b_set)]
-                              for r in controller.regions]}
+    report["n_regions"] = len(controller.regions)
+    report["active_sets"] = [[list(r.a_set), list(r.b_set)]
+                             for r in controller.regions]
     _emit(report, args.out, "explicit_report.json")
     if args.out:
         controller.save(os.path.join(args.out, "explicit.json"))
@@ -229,8 +233,7 @@ def _dynamics_for(prob: Problem, name: str) -> tuple[Dynamics, list, float]:
 
 
 def cmd_simulate(args) -> int:
-    tol = _resolve_tol(args)
-    prob = _resolve_problem(args.problem)
+    tol, prob, report = _setup(args)
     dyn, rows, T = _dynamics_for(prob, args.problem)
     dt = 0.01
     rng = np.random.default_rng(args.seed)
@@ -252,10 +255,8 @@ def cmd_simulate(args) -> int:
                         "completed": traj.completed, "note": traj.note})
         if args.out:
             traj.write_csv(os.path.join(args.out, f"traj_{i}.csv"))
-    report = {"command": "simulate", "problem": args.problem,
-              "problem_sha256": _digest(prob), "tolerances": tol.to_dict(),
-              "seed": args.seed, "T": T, "dt": dt,
-              "min_h": worst, "trajectories": summary}
+    report.update(seed=args.seed, T=T, dt=dt, min_h=worst,
+                  trajectories=summary)
     _emit(report, args.out, "simulate.json")
     if not all_completed:
         print("controller failed mid-run", file=sys.stderr)

@@ -82,16 +82,6 @@ class SignCone:
         u = np.asarray(u, dtype=float)
         return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
 
-    def label(self, k: int) -> str:
-        if self.lo[k] == 0.0:
-            return "nonneg"
-        if self.hi[k] == 0.0:
-            return "nonpos"
-        return "free"
-
-    def labels(self) -> list[str]:
-        return [self.label(k) for k in range(self.lo.shape[0])]
-
 
 def sign_cone(stack: StackedMap, tol: float = DEFAULT.eig) -> SignCone:
     """Sign-aligned cone of the map; raises A3Violated on an indefinite column."""

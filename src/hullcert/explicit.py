@@ -143,7 +143,9 @@ class ExplicitController:
         self.meta = dict(meta or {})
 
     def __call__(self, x) -> np.ndarray:
-        return eval_explicit(self, x)
+        """First region whose inequalities hold within 1e-9 wins; boundary
+        ties are harmless because the filter is continuous across regions."""
+        return self.region_at(x).law.u_at(x)
 
     def region_at(self, x, tol: float = 1e-9) -> CriticalRegion:
         x = np.asarray(x, dtype=float)
@@ -179,13 +181,6 @@ class ExplicitController:
     def load(cls, path) -> "ExplicitController":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def eval_explicit(controller: ExplicitController, x) -> np.ndarray:
-    """First region whose inequalities hold within 1e-9 wins; boundary ties
-    are harmless because the filter is continuous across regions."""
-    region = controller.region_at(x)
-    return region.law.u_at(x)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ one per column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,24 +293,16 @@ def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
 
 
 def margin_lp(psi_x: np.ndarray, delta_x: np.ndarray, input_set: InputSet,
-              cone_lo=None, cone_hi=None,
               tol: Tolerances = DEFAULT) -> tuple[str, float, np.ndarray | None]:
-    """maximize t  s.t.  Psi u + delta >= t 1,  u admissible (optionally cone-clipped).
+    """maximize t  s.t.  Psi u + delta >= t 1,  u admissible.
 
     Returns (status, t, u).  Infeasible means the admissible set itself is
-    empty (possible once cone bounds are imposed); unbounded can only occur
-    for unbounded admissible sets.
+    empty; unbounded can only occur for unbounded admissible sets.
     """
     psi_x = np.atleast_2d(np.asarray(psi_x, dtype=float))
     delta_x = np.atleast_1d(np.asarray(delta_x, dtype=float))
     m = psi_x.shape[1]
     lo, hi = input_set.bounds()
-    if cone_lo is not None:
-        lo = np.maximum(lo, cone_lo)
-    if cone_hi is not None:
-        hi = np.minimum(hi, cone_hi)
-    if np.any(lo > hi + 1e-15):
-        return "infeasible", -np.inf, None
     res = solve_lp(margin_problem(psi_x[None], delta_x[None], input_set, lo, hi),
                    tol)
     if res.status == "optimal":
@@ -474,25 +466,27 @@ def _qp_solution(u, u_des, resid, lam, nu, p: int, tol: Tolerances,
         weakly_active_cbf=weak_cbf, weakly_active_input=weak_inp)
 
 
-@dataclass
 class WarmQp:
     """Warm-started projection QP for sequences of nearby states.
 
     Re-solving the equality system of the previous active set and checking the
     full KKT conditions is sufficient for optimality, so the common case costs
-    one small solve.  Any check failure falls back to the full method.
+    one small solve.  Any check failure falls back to the full method, which
+    tries ``hints`` as feasible starts.
     """
 
-    input_set: InputSet
-    tol: Tolerances = field(default_factory=lambda: DEFAULT)
-    _last_rows: tuple[int, ...] = ()
-    _last_u: np.ndarray | None = None
-    hints: tuple = ()
-    # constants across a sweep: the input polytope, and the stacked row
-    # matrix whenever Psi does not change between calls
-    _Gb: tuple[np.ndarray, np.ndarray] | None = None
-    _psi_ref: np.ndarray | None = None
-    _C: np.ndarray | None = None
+    def __init__(self, input_set: InputSet, tol: Tolerances = DEFAULT,
+                 hints=()):
+        self.input_set = input_set
+        self.tol = tol
+        self.hints = hints
+        self._last_rows: tuple[int, ...] = ()
+        self._last_u: np.ndarray | None = None
+        # constants across a sweep: the input polytope, and the stacked row
+        # matrix whenever Psi does not change between calls
+        self._Gb: tuple[np.ndarray, np.ndarray] | None = None
+        self._psi_ref: np.ndarray | None = None
+        self._C: np.ndarray | None = None
 
     def solve(self, u_des, psi_x, delta_x) -> QpSolution:
         u_des = np.atleast_1d(np.asarray(u_des, dtype=float))

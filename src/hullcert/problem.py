@@ -62,11 +62,6 @@ class QuadFunc:
         x = np.asarray(x, dtype=float)
         return float(x @ self.Q @ x + self.c @ x + self.d)
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at each row of X, shape [K, n] -> [K]."""
-        X = np.asarray(X, dtype=float)
-        return np.einsum("ki,ij,kj->k", X, self.Q, X) + X @ self.c + self.d
-
     def is_affine(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.Q)) <= tol) if self.Q.size else True
 
@@ -157,13 +152,13 @@ class StackedMap:
         return (np.stack([self.psi_at(x) for x in X]),
                 np.stack([self.delta_at(x) for x in X]))
 
-    def affine_arrays(self, tol: float = 1e-12) -> AffineStack | None:
+    def affine_arrays(self) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""
         if self._aff is not False:
             return self._aff
         aff = None
-        if all(q.is_affine(tol) for row in self.psi for q in row) and \
-                all(q.is_affine(tol) for q in self.delta):
+        if all(q.is_affine() for row in self.psi for q in row) and \
+                all(q.is_affine() for q in self.delta):
             P0 = np.array([[q.d for q in row] for row in self.psi])
             P1 = np.array([[q.c for q in row] for row in self.psi])
             D0 = np.array([q.d for q in self.delta])
@@ -190,15 +185,6 @@ class StackedMap:
 
     def __repr__(self) -> str:
         return f"StackedMap(n={self.n}, m={self.m}, p={self.p})"
-
-
-def eval_stack(stack: StackedMap, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (Psi(x), delta(x)) at one state."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stack.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({stack.n},)")
-    src = stack.affine_arrays() or stack
-    return src.psi_at(x), src.delta_at(x)
 
 
 def barycentric_lp(V: np.ndarray, x: np.ndarray, tol: float):
@@ -231,10 +217,6 @@ class Hull:
         self.N = V.shape[0]
         self.n = V.shape[1]
         self._box: tuple | None | bool = False
-
-    def point(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        return lam @ self.vertices
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

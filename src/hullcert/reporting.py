@@ -30,11 +30,10 @@ def jsonable(obj):
     return obj
 
 
-def write_report(path, data: dict, stamp: bool = True) -> None:
+def write_report(path, data: dict) -> None:
     """Write a sorted, indented JSON report; timestamp isolated on line 2."""
     doc = dict(jsonable(data))
-    if stamp:
-        doc["_generated"] = datetime.now(timezone.utc).isoformat()
+    doc["_generated"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

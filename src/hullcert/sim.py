@@ -15,6 +15,7 @@ import numpy as np
 from .explicit import ExplicitController, NoRegion, OutsideHull
 from .optcore import InfeasibleQP, NumericalFailure, WarmQp
 from .problem import InputSet, StackedMap
+from .tolerances import DEFAULT, Tolerances
 
 
 class ControllerFailure(RuntimeError):
@@ -230,14 +231,13 @@ class QpFilterController:
     """Online safety filter: project u_des(x) onto the feasible input set."""
 
     def __init__(self, stack: StackedMap, input_set: InputSet, u_des,
-                 tol=None, feasible_hint=None):
-        from .tolerances import DEFAULT
+                 tol: Tolerances = DEFAULT, feasible_hint=None):
         self.stack = stack
         self.input_set = input_set
         self.u_des = u_des
-        self.solver = WarmQp(input_set, tol or DEFAULT)
-        if feasible_hint is not None:
-            self.solver.hints = (np.asarray(feasible_hint, dtype=float),)
+        hints = () if feasible_hint is None else (
+            np.asarray(feasible_hint, dtype=float),)
+        self.solver = WarmQp(input_set, tol, hints)
         self.status = "ok"
         self.last_solution = None
         # the dense affine arrays when every entry is affine

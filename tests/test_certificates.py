@@ -8,11 +8,9 @@ import pytest
 
 from hullcert import cases
 from hullcert.certificates import (BlendCert, CommonCert, IntervalCert,
-                                   VertexIncompatible, blend_input,
                                    cert_from_dict, certify, cpc_blend_joint,
-                                   cpc_blend_vertexwise, cpc_common,
-                                   cpc_interval, endpoint_rule,
-                                   find_vertex_inputs, pairwise_check)
+                                   cpc_common, cpc_interval, endpoint_rule,
+                                   pairwise_check)
 from hullcert.problem import Hull, InputSet, QuadFunc, StackedMap
 
 
@@ -67,16 +65,6 @@ def test_example1_cascade_reports_every_failure():
     assert methods == ["endpoint_rule", "cpc_interval", "cpc_common",
                        "cpc_blend"]
     assert all(not a["valid"] for a in diag["attempts"])
-
-
-def test_example1_vertexwise_blend_fails_feasibly():
-    # both vertices are individually compatible, so the failure must come
-    # from the pairwise coupling check, not from a vertex LP
-    prob = cases.example1_problem()
-    out = cpc_blend_vertexwise(prob.stack, prob.hull, prob.input_set)
-    assert not out.valid
-    assert out.reason == "pairwise coupling check failed"
-    assert out.detail["pairwise_max"] > 0
 
 
 # --------------------------------------------------------------------------
@@ -194,44 +182,13 @@ def test_case3_reference_inputs_blend_cleanly():
     for _ in range(50):
         lam = rng.dirichlet(np.ones(prob.hull.N))
         x = lam @ prob.hull.vertices
-        u = blend_input(U, lam)
+        u = lam @ U
         res = prob.stack.psi_at(x) @ u + prob.stack.delta_at(x)
         assert res.min() >= -1e-9
 
 
-def test_case3_vertexwise_blend_also_certifies():
-    # constant Psi makes the coupling check vacuous, so independent vertex
-    # LPs suffice here
-    prob = cases.case3_problem()
-    out = cpc_blend_vertexwise(prob.stack, prob.hull, prob.input_set)
-    assert out.valid
-    assert not out.certificate.joint
-    assert out.margin >= 0.1 - 1e-9
-
-
-def test_certify_joint_blend_flag_switches_variant():
-    prob = cases.case3_problem()
-    cert, diag = certify(prob.stack, prob.hull, prob.input_set,
-                         order=("blend",), joint_blend=False)
-    assert diag["method"] == "cpc_blend_vertexwise"
-    assert diag["attempts"][0]["method"] == "cpc_blend_vertexwise"
-    assert not cert.joint
-
-
 # --------------------------------------------------------------------------
 # failure modes and guard rails
-
-
-def test_find_vertex_inputs_raises_on_incompatible_vertex():
-    # row u - x >= 0 with u in [0, 1]: hopeless at x = 3
-    st = StackedMap(psi=[[QuadFunc(d=1.0, n=1)]],
-                    delta=[QuadFunc(c=np.array([-1.0]), d=0.0)])
-    hull = Hull(np.array([[0.0], [3.0]]))
-    us = InputSet(box=(np.zeros(1), np.ones(1)))
-    with pytest.raises(VertexIncompatible) as exc:
-        find_vertex_inputs(st, hull, us)
-    assert exc.value.vertex == 1
-    assert exc.value.margin == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_endpoint_needs_a_finite_favorable_bound():
@@ -277,6 +234,20 @@ def test_blend_unbounded_margin_falls_back_to_feasibility():
     out = cpc_blend_joint(st, hull, free)
     assert out.valid
     assert out.margin >= -1e-9
+
+
+def test_margin_certificates_need_inputs_in_the_sign_cone():
+    # a concave column only admits u >= 0, and the input box [-2, -1] has
+    # no such input, so both LP certificates stop before building an LP
+    st = StackedMap(psi=[[QuadFunc(Q=[[-1.0]])]],
+                    delta=[QuadFunc(d=1.0, n=1)])
+    hull = Hull(np.array([[0.0], [1.0]]))
+    us = InputSet(box=(np.array([-2.0]), np.array([-1.0])))
+    for construct in (cpc_common, cpc_blend_joint):
+        out = construct(st, hull, us)
+        assert not out.valid
+        assert out.reason == "input set does not meet the sign cone"
+        assert out.margin is None
 
 
 def test_certify_rejects_unknown_stage():

@@ -49,7 +49,9 @@ def test_sign_cone_labels():
     affn = QuadFunc(c=[1.0, 0.0])
     st = StackedMap([[conc, conv, affn]], [affn])
     cone = sign_cone(st)
-    assert cone.labels() == ["nonneg", "nonpos", "free"]
+    # concave: u >= 0, convex: u <= 0, affine: free
+    assert cone.lo.tolist() == [0.0, -np.inf, -np.inf]
+    assert cone.hi.tolist() == [np.inf, 0.0, np.inf]
     assert cone.contains([1.0, -1.0, 5.0])
     assert not cone.contains([-1.0, 0.0, 0.0])
     st_bad = StackedMap([[conc], [conv]], [affn, affn])

@@ -5,8 +5,8 @@ import pytest
 from hullcert import cases
 from hullcert.explicit import (Assumption2Violated, ExplicitController,
                                NoRegion, NotInRegion, OutsideHull,
-                               UnresolvedRegion, eval_explicit,
-                               interpolate_on_region, partition_hull)
+                               UnresolvedRegion, interpolate_on_region,
+                               partition_hull)
 from hullcert.optcore import solve_qp_projection
 from hullcert.problem import (DesiredInput, Hull, InputSet, QuadFunc, StackedMap,
                               build_from_lti)
@@ -230,4 +230,3 @@ def test_save_load_round_trip(tmp_path, case3_controller):
     for lam in rng.dirichlet(np.ones(prob.hull.N), size=40):
         x = lam @ prob.hull.vertices
         assert np.allclose(back(x), ctrl(x), atol=0.0)
-        assert np.allclose(eval_explicit(back, x), ctrl(x), atol=0.0)

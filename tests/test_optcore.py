@@ -270,20 +270,6 @@ def test_margin_lp_example1_values():
     assert t == pytest.approx(10.0 / 17.0, abs=1e-9)
 
 
-def test_margin_lp_cone_clipping():
-    prob = cases.example1_problem()
-    st, us = prob.stack, prob.input_set
-    x = np.array([0.0])
-    # clipping the input to [0, 0] leaves only u = 0: margin = min(10, 0) = 0
-    status, t, u = margin_lp(st.psi_at(x), st.delta_at(x), us,
-                             cone_lo=np.zeros(1), cone_hi=np.zeros(1))
-    assert status == "optimal"
-    assert t == pytest.approx(0.0, abs=1e-12)
-    status, t, u = margin_lp(st.psi_at(x), st.delta_at(x), us,
-                             cone_lo=np.array([11.0]))
-    assert status == "infeasible"
-
-
 def test_margin_lp_unbounded():
     # single row u >= t with a free input: push u (and t) to +inf
     prob = cases.example1_problem()

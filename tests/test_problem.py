@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hullcert import (DesiredInput, Hull, InputSet, Problem, QuadFunc,
-                      StackedMap, build_from_lti, dict_to_problem, eval_stack,
+                      StackedMap, build_from_lti, dict_to_problem,
                       load_problem, problem_to_dict, save_problem)
 
 
@@ -16,13 +16,6 @@ def test_quadfunc_symmetrizes_without_changing_values():
     for _ in range(20):
         x = rng.normal(size=2)
         assert q(x) == pytest.approx(x @ Q @ x + q.c @ x + q.d, abs=1e-12)
-
-
-def test_quadfunc_eval_batch_matches_scalar():
-    q = QuadFunc(Q=[[2.0, 0.0], [0.0, -1.0]], c=[0.5, 0.0], d=-3.0)
-    X = np.random.default_rng(1).normal(size=(17, 2))
-    batch = q.eval_batch(X)
-    assert np.allclose(batch, [q(x) for x in X])
 
 
 def test_quadfunc_dimension_inference_and_errors():
@@ -103,16 +96,13 @@ def test_stacked_map_eval_stacks_the_entrywise_values():
 def test_stacked_map_quadratic_has_no_affine_arrays():
     st = StackedMap([[QuadFunc(Q=[[1.0]])]], [QuadFunc(c=[1.0])])
     assert st.affine_arrays() is None
-    # eval_stack still works through the generic path
-    psi, delta = eval_stack(st, np.array([2.0]))
-    assert psi[0, 0] == pytest.approx(4.0)
-    assert delta[0] == pytest.approx(2.0)
-
-
-def test_eval_stack_shape_guard():
-    st = StackedMap([[QuadFunc(c=[1.0, 0.0])]], [QuadFunc(c=[0.0, 1.0])])
-    with pytest.raises(ValueError):
-        eval_stack(st, np.zeros(3))
+    # psi_at/delta_at still work through the generic path
+    x = np.array([2.0])
+    assert st.psi_at(x)[0, 0] == pytest.approx(4.0)
+    assert st.delta_at(x)[0] == pytest.approx(2.0)
+    # a small quadratic term is still quadratic
+    tiny = StackedMap([[QuadFunc(Q=[[1e-6]])]], [QuadFunc(c=[1.0])])
+    assert tiny.affine_arrays() is None
 
 
 def test_hull_rejects_duplicate_vertices():

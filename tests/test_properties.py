@@ -41,16 +41,6 @@ def test_negation_mirrors_the_curvature_class(Q, c, d):
     assert classify_quadratic(neg) is mirror[classify_quadratic(q)]
 
 
-@given(Q=mat2, c=vec2, d=st.floats(-3.0, 3.0, **finite),
-       X=hnp.arrays(np.float64, (7, 2),
-                    elements=st.floats(-3.0, 3.0, **finite)))
-def test_eval_batch_matches_pointwise(Q, c, d, X):
-    q = QuadFunc(Q, c, d)
-    got = q.eval_batch(X)
-    want = np.array([q(x) for x in X])
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
 @settings(max_examples=50)
 @given(lam=hnp.arrays(np.float64, (6,),
                       elements=st.floats(0.0, 1.0, **finite)))
