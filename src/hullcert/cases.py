@@ -28,12 +28,10 @@ from .curvature import validate_problem
 from .explicit import partition_hull
 from .oracle import check_certificate, grid_scan, sample_hull
 from .problem import (DesiredInput, Hull, InputSet, Problem, QuadFunc,
-                      StackedMap, build_from_lti, problem_to_dict,
-                      save_problem)
-from .reporting import jsonable, write_report
+                      StackedMap, build_from_lti, save_problem)
+from .reporting import write_report
 from .sim import (AffineClipController, ConstantController, Dynamics,
-                  ExplicitPwaController, QpFilterController, integrate,
-                  safety_margin)
+                  ExplicitPwaController, QpFilterController, integrate)
 from .tolerances import DEFAULT, Tolerances
 
 # three-room thermal parameters: conduction a, leakage b, heater gain c,

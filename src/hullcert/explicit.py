@@ -11,7 +11,7 @@ everything at region vertices (affine residuals make vertex checks global).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .optcore import margin_lp
+from .optcore import margin_lp, margin_lps
 from .problem import Hull, InputSet, StackedMap
 from .tolerances import DEFAULT, Tolerances
 
@@ -188,12 +188,16 @@ def grid_scan(stack: StackedMap, hull: Hull, input_set: InputSet,
               seed: int = 0, mode: str | None = None,
               tol: Tolerances = DEFAULT) -> ScanReport:
     """Margin LP at every sample; the report's min margin is the ground truth
-    this package's certificates are judged against."""
+    this package's certificates are judged against.
+
+    The stack is evaluated once for all samples and the margin LPs are
+    solved in one lockstep pass (``optcore.margin_lps``), with the same bits
+    as one ``pointwise_margin`` call per sample.
+    """
     X, lams, mode_used = sample_hull(hull, per_edge=per_edge,
                                      n_random=n_random, seed=seed, mode=mode)
-    margins = np.empty(X.shape[0])
-    for i, x in enumerate(X):
-        margins[i], _ = pointwise_margin(stack, x, input_set, tol=tol)
+    psis, deltas = stack.eval(X)
+    margins, _ = margin_lps(psis, deltas, input_set, tol=tol)
     k = int(np.argmin(margins))
     return ScanReport(
         mode=mode_used, n_samples=X.shape[0], min_margin=float(margins[k]),
@@ -211,10 +215,8 @@ def replay_margins(stack: StackedMap, X: np.ndarray, U: np.ndarray) -> np.ndarra
         delta = aff.delta_batch(X)  # [K, p]
         vals = np.einsum("kpm,km->kp", psi, U) + delta
         return vals.min(axis=1)
-    out = np.empty(X.shape[0])
-    for i, (x, u) in enumerate(zip(X, U)):
-        out[i] = float((stack.psi_at(x) @ u + stack.delta_at(x)).min())
-    return out
+    psi, delta = stack.eval(X)
+    return ((psi @ U[:, :, None])[:, :, 0] + delta).min(axis=1)
 
 
 def check_certificate(stack: StackedMap, hull: Hull, input_set: InputSet,

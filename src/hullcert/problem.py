@@ -87,6 +87,17 @@ class QuadFunc:
         return f"QuadFunc(n={self.n}, affine={self.is_affine()})"
 
 
+def _at_rows(q: QuadFunc, X: np.ndarray) -> np.ndarray:
+    """q at each row of a C-contiguous X [K, n], bit for bit as q(X[k]).
+
+    The row-wise products keep the order in which ``QuadFunc.__call__``
+    sums; ``einsum`` and ``((X @ Q) * X).sum(1)`` sum in another order and
+    differ in the last bits.
+    """
+    rows, cols = X[:, None, :], X[:, :, None]
+    return (np.matmul(rows, q.Q) @ cols)[:, 0, 0] + (rows @ q.c)[:, 0] + q.d
+
+
 @dataclass(frozen=True)
 class AffineStack:
     """Dense affine representation of a stacked map: Psi(x) = P0 + P1.x, delta(x) = D0 + D1 x."""
@@ -140,17 +151,28 @@ class StackedMap:
         self._aff: AffineStack | None | bool = False  # False = not computed yet
 
     def psi_at(self, x) -> np.ndarray:
+        """Psi at one state x [n] -> [p, m], or at each row of X [K, n] ->
+        [K, p, m] with the bits of the one-state calls."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            X = np.ascontiguousarray(x)
+            return np.stack([np.stack([_at_rows(q, X) for q in row], axis=1)
+                             for row in self.psi], axis=1)
         return np.array([[q(x) for q in row] for row in self.psi])
 
     def delta_at(self, x) -> np.ndarray:
+        """delta at one state x [n] -> [p], or at each row of X [K, n] ->
+        [K, p] with the bits of the one-state calls."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            X = np.ascontiguousarray(x)
+            return np.stack([_at_rows(q, X) for q in self.delta], axis=1)
         return np.array([q(x) for q in self.delta])
 
     def eval(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """(Psi [K, p, m], delta [K, p]) at each row of X [K, n], entry by entry."""
-        return (np.stack([self.psi_at(x) for x in X]),
-                np.stack([self.delta_at(x) for x in X]))
+        """(Psi [K, p, m], delta [K, p]) at each row of X [K, n]."""
+        X = np.asarray(X, dtype=float)
+        return self.psi_at(X), self.delta_at(X)
 
     def affine_arrays(self) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""

@@ -8,7 +8,7 @@ batch studies always produce inspectable output.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullcert import (DEFAULT, Hull, InfeasibleQP, InputSet, LpProblem,
-                      NumericalFailure, QuadFunc, StackedMap, WarmQp,
-                      cpc_blend_joint, margin_lp, solve_lp, solve_qp_projection)
+                      NumericalFailure, QuadFunc, StackedMap, Tolerances,
+                      WarmQp, cpc_blend_joint, margin_lp, solve_lp,
+                      solve_qp_projection)
 from hullcert import cases, certificates, optcore
 
 
@@ -280,6 +283,94 @@ def test_margin_lp_unbounded():
     assert status == "unbounded"
     assert t == np.inf
     assert u is None
+
+
+# --------------------------------------------------------------------------
+# lockstep margin LPs
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _lockstep_case(seed: int, m: int, p: int, kind: str, K: int = 24):
+    """Margin-LP data of a random quadratic stack at K states, and an input
+    set: a box, a box with polytope rows, or polytope rows alone."""
+    rng = np.random.default_rng(seed)
+    n = 2
+
+    def quad(offset):
+        return QuadFunc(Q=rng.normal(0.0, 0.3, (n, n)), c=rng.normal(0.0, 0.5, n),
+                        d=offset + rng.normal(0.0, 0.3))
+
+    stack = StackedMap([[quad(rng.choice([-1.0, 1.0])) for _ in range(m)]
+                        for _ in range(p)], [quad(0.3) for _ in range(p)])
+    psis, deltas = stack.eval(rng.uniform(-1.5, 1.5, (K, n)))
+    # a repeated row in every other state makes ratio-test ties, which the
+    # smallest-basis-index rule must break as solve_lp does
+    psis[::2, -1], deltas[::2, -1] = psis[::2, 0], deltas[::2, 0]
+    box = (-np.ones(m), np.ones(m))
+    G = rng.normal(size=(2, m))
+    rows = (G, rng.uniform(0.2, 1.0, 2))
+    if kind == "box":
+        return psis, deltas, InputSet(box=box)
+    if kind == "box+rows":
+        return psis, deltas, InputSet(box=box, polytope=rows)
+    # u >= -1 only: the last state's all-positive Psi grows every row along
+    # the recession direction u = (1, ..., 1), so its margin is unbounded
+    psis[-1] = np.abs(psis[-1]) + 0.1
+    return psis, deltas, InputSet(polytope=(-np.eye(m), np.ones(m)))
+
+
+def _assert_lanes_match_margin_lp(psis, deltas, input_set, tol=DEFAULT):
+    t, U = optcore.margin_lps(psis, deltas, input_set, tol)
+    for k in range(psis.shape[0]):
+        status, t_k, u_k = margin_lp(psis[k], deltas[k], input_set, tol)
+        assert _bits(t[k]) == _bits(t_k)
+        if status == "optimal":
+            assert np.array_equal(_bits(U[k]), _bits(u_k))
+        else:
+            assert np.isnan(U[k]).all()
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3), p=st.integers(1, 6),
+       kind=st.sampled_from(["box", "box+rows", "rows"]))
+def test_margin_lps_equal_margin_lp_bit_for_bit(seed, m, p, kind):
+    t = _assert_lanes_match_margin_lp(*_lockstep_case(seed, m, p, kind))
+    if kind == "rows":
+        assert t[-1] == np.inf
+
+
+def test_margin_lps_chunks_and_sparse_pivots_keep_the_bits(monkeypatch):
+    # several lockstep solves per call, and solve_lp's support-only pivot
+    # on every tableau (the margin LPs here are far below its usual size)
+    monkeypatch.setattr(optcore, "_LANES", 7)
+    monkeypatch.setattr(optcore, "_SPARSE_PIVOT_CELLS", 0)
+    for seed, kind in enumerate(["box", "box+rows", "rows"]):
+        _assert_lanes_match_margin_lp(*_lockstep_case(seed, 2, 5, kind, K=30))
+
+
+def test_margin_lps_raise_the_first_failing_lane_error():
+    psis, deltas, input_set = _lockstep_case(3, 2, 4, "box")
+    strict = Tolerances(pivot=10.0)  # no pivot is ever large enough
+    deltas[3, 1] = np.inf  # a later state fails in another way
+    with pytest.raises(NumericalFailure, match="pivot magnitude") as scalar:
+        for k in range(psis.shape[0]):
+            margin_lp(psis[k], deltas[k], input_set, strict)
+    with pytest.raises(NumericalFailure) as lockstep:
+        optcore.margin_lps(psis, deltas, input_set, strict)
+    assert str(lockstep.value) == str(scalar.value)
+
+
+def test_margin_lps_reject_non_finite_states_like_margin_lp():
+    psis, deltas, input_set = _lockstep_case(5, 1, 2, "box")
+    deltas[3, 1] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        margin_lp(psis[3], deltas[3], input_set)
+    with pytest.raises(ValueError, match="must be finite"):
+        optcore.margin_lps(psis, deltas, input_set)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Sampling, dense margin scans, and witness replay."""
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hullcert import cases
+from hullcert import DEFAULT, cases
 from hullcert.certificates import CommonCert, cpc_common, cpc_interval
 from hullcert.oracle import (check_certificate, grid_scan, pointwise_margin,
                              replay_margins, sample_hull)
-from hullcert.problem import Hull, StackedMap
+from hullcert.problem import Hull, QuadFunc, StackedMap
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +117,22 @@ def test_case1_scan_is_clean():
     assert rep.min_margin == pytest.approx(0.44, abs=1e-9)
 
 
+def test_scan_margins_are_frozen_on_the_builtins():
+    # points and margins of the one-LP-per-sample scan, kept bit for bit
+    # (signs of zero included) by the batched evaluation and lockstep LPs
+    data = np.load(Path(__file__).parent / "data" / "grid_scan_builtins.npz")
+    for name in ("example1", "case1", "case2", "case3"):
+        prob = cases.get_problem(name)
+        rep = grid_scan(prob.stack, prob.hull, prob.input_set)
+        points, margins = data[f"{name}_points"], data[f"{name}_margins"]
+        assert np.array_equal(rep.points, points)
+        assert np.array_equal(rep.margins.view(np.uint64), margins.view(np.uint64))
+        k = int(np.argmin(margins))
+        assert rep.min_margin == margins[k]
+        assert np.array_equal(rep.argmin_x, points[k])
+        assert rep.violations == int(np.sum(margins < -DEFAULT.feas))
+
+
 def test_scan_is_invariant_under_row_permutation():
     prob = cases.case2_problem()
     perm = [3, 0, 5, 2, 1, 4]
@@ -154,7 +171,7 @@ def test_scan_report_dict_is_json_ready():
 
 
 def test_replay_margins_agrees_with_direct_evaluation():
-    # einsum fast path on the affine stack, plain loop on the quadratic one
+    # einsum fast path on the affine stack, batched products on the quadratic one
     for prob in (cases.case2_problem(), cases.example1_problem()):
         rng = np.random.default_rng(2)
         X = np.array([lam @ prob.hull.vertices
@@ -165,6 +182,27 @@ def test_replay_margins_agrees_with_direct_evaluation():
         want = [float((prob.stack.psi_at(x) @ u + prob.stack.delta_at(x)).min())
                 for x, u in zip(X, U)]
         assert np.allclose(got, want, atol=1e-12)
+
+
+def test_replay_margins_on_a_quadratic_stack_is_exact():
+    # the batched products give the bits of the per-state products, for
+    # per-sample witnesses and for one witness broadcast to every sample
+    rng = np.random.default_rng(4)
+    n, m, p = 3, 2, 4
+
+    def quad():
+        return QuadFunc(Q=rng.normal(size=(n, n)), c=rng.normal(size=n),
+                        d=rng.normal())
+
+    stack = StackedMap([[quad() for _ in range(m)] for _ in range(p)],
+                       [quad() for _ in range(p)])
+    X = rng.normal(size=(40, n))
+    for U in (rng.uniform(-1.0, 1.0, size=(40, m)),
+              np.broadcast_to(rng.uniform(-1.0, 1.0, m), (40, m))):
+        got = replay_margins(stack, X, U)
+        want = [(stack.psi_at(x) @ u + stack.delta_at(x)).min()
+                for x, u in zip(X, U)]
+        assert np.array_equal(got, want)
 
 
 def test_check_accepts_the_case2_common_certificate():

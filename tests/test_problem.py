@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hullcert import (DesiredInput, Hull, InputSet, Problem, QuadFunc,
+from hullcert import (DesiredInput, Hull, InputSet, QuadFunc,
                       StackedMap, build_from_lti, dict_to_problem,
                       load_problem, problem_to_dict, save_problem)
 
