@@ -227,7 +227,7 @@ def pairwise_check(stack: StackedMap, hull: Hull,
     Nonpositive is the coupling condition under which barycentric blends of
     per-vertex inputs stay valid.  Identically zero when Psi is constant.
     """
-    psis, _ = stack.eval(hull.vertices)
+    psis = stack.psi_at(hull.vertices)
     return _pairwise_max(psis, np.asarray(vertex_inputs, dtype=float))
 
 
@@ -298,7 +298,7 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
     except A3Violated as exc:
         return CertificateOutcome("cpc_interval", False, reason=str(exc))
     blo, bhi = input_set.bounds()
-    psis, _ = stack.eval(hull.vertices)  # [N, p, m]
+    psis = stack.psi_at(hull.vertices)  # [N, p, m]
 
     lo = np.empty(stack.m)
     hi = np.empty(stack.m)

@@ -108,16 +108,13 @@ def uniform_column_sign(stack: StackedMap, hull: Hull, k: int,
     nonpositivity of a convex entry does the same, so the vertex values plus
     the entry classes certify a uniform sign.  Zero columns resolve to nonneg.
     """
-    entries = [stack.psi[i][k] for i in range(stack.p)]
-    classes = [classify_quadratic(q, tol.eig) for q in entries]
-    vals = np.array([[q(v) for q in entries] for v in hull.vertices])
-    nonneg = vals.min() >= -tol.sign and all(
-        c in (CurvatureClass.AFFINE, CurvatureClass.CONCAVE) for c in classes)
-    if nonneg:
+    cls = column_curvature(stack, k, tol.eig)
+    vals = stack.psi_at(hull.vertices)[:, :, k]
+    if vals.min() >= -tol.sign and cls in (CurvatureClass.AFFINE,
+                                           CurvatureClass.CONCAVE):
         return "nonneg"
-    nonpos = vals.max() <= tol.sign and all(
-        c in (CurvatureClass.AFFINE, CurvatureClass.CONVEX) for c in classes)
-    if nonpos:
+    if vals.max() <= tol.sign and cls in (CurvatureClass.AFFINE,
+                                          CurvatureClass.CONVEX):
         return "nonpos"
     return "inconclusive"
 

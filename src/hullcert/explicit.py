@@ -199,7 +199,7 @@ def assumption2_data(stack: StackedMap, hull: Hull, tol: Tolerances = DEFAULT):
             if not stack.psi[r][k].is_affine(tol=tol.eig):
                 raise Assumption2Violated(
                     f"Psi entry ({r},{k}) is not affine")
-    psis, _ = stack.eval(hull.vertices)
+    psis = stack.psi_at(hull.vertices)
     if not np.allclose(psis, psis[0], atol=1e-10):
         raise Assumption2Violated("Psi varies across the hull vertices")
     psi_bar = psis[0]

@@ -22,15 +22,21 @@ value, so pivots, bases and results are unchanged (up to the sign of a zero).
 Smaller tableaus keep the dense update, which costs one numpy call instead of
 one per column.
 
-A dense scan solves thousands of margin LPs with 2-6 rows each, where the
-interpreter's overhead per numpy call dominates.  ``margin_lps`` solves them
-in lockstep: each lane is one state's tableau, every pivot step is one numpy
-call over all live lanes, and each lane takes the same floating-point steps
-in the same order as ``solve_lp`` on that state, so margins match
-``margin_lp`` bit for bit.  Both build their rows through ``_shift_bounds``;
-only the pivot loop has two versions.  ``solve_lp`` stays scalar: a single LP
-costs more in lockstep form (its array bookkeeping per step), and the
-certificate LPs come one at a time.
+One two-phase routine, ``_solve_lanes``, solves K LPs that differ only in
+their rows: it builds the tableaus, runs phase one, pivots leftover
+artificials out, runs phase two, extracts each point and checks it.
+``solve_lp`` is its one-lane call.  A dense scan solves thousands of margin
+LPs with 2-6 rows each, where the interpreter's overhead per numpy call
+dominates, so ``margin_lps`` hands it one lane per state.  Only the
+pivot loop comes in two kernels, chosen by the lane count: ``_run_simplex``
+for one lane, ``_lockstep_simplex`` for several, where every pivot step is
+one numpy call over all live lanes.  Both take the same floating-point steps
+in the same order, so ``margin_lps`` matches ``margin_lp`` bit for bit.  One
+kernel for both costs too much: run as one lockstep lane, the certify
+cascade's LPs (certify-mix seed 1, one core of a 2-vCPU host, numpy 2.4)
+took a median 2.8x as long below 15,000 cells, for the fancy indexing of
+each step, and 5.8x above, where the lockstep support-only update still
+computes every cell.
 """
 from __future__ import annotations
 
@@ -136,7 +142,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         if r[bv] != 0.0:
             r -= r[bv] * T[i]
     for _ in range(max_iter):
-        cand = np.flatnonzero(r[:allow_cols] < -1e-9)
+        cand = (r[:allow_cols] < -1e-9).nonzero()[0]
         if cand.size == 0:
             return "optimal"
         j = int(cand[0])
@@ -146,7 +152,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             return "unbounded"
         ratios = np.where(pos, np.maximum(T[:, -1], 0.0) / np.where(pos, col, 1.0), np.inf)
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
+        ties = (ratios <= best + 1e-12).nonzero()[0]
         i = int(ties[np.argmin(basis[ties])])
         if abs(T[i, j]) < tol.pivot:
             raise NumericalFailure("pivot magnitude below tolerance")
@@ -160,112 +166,144 @@ def _shift_bounds(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
     A variable with a finite lower bound shifts to it, one with only an
     upper bound is mirrored at it, and a free variable splits into two
-    columns; a variable with two finite bounds adds the row y_k <= hi - lo.
-    A may carry leading lane axes ([..., rows, nv] with b [..., rows]);
-    every lane gets the same bound rows.  Returns (A2, b2, off, M).
+    columns; a variable with two finite bounds adds the row y_k <= hi - lo
+    to every lane of A [K, rows, nv] and b [K, rows].  Returns (A2, b2,
+    off, M).
     """
-    nv = lo.shape[0]
-    off = np.zeros(nv)
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    upper_rows: list[tuple[int, float]] = []
-    for k in range(nv):
-        lk, hk = lo[k], hi[k]
-        if np.isfinite(lk):
-            off[k] = lk
-            col_var.append(k)
-            col_sign.append(1.0)
-            if np.isfinite(hk):
-                upper_rows.append((len(col_var) - 1, hk - lk))
-        elif np.isfinite(hk):
-            off[k] = hk
-            col_var.append(k)
-            col_sign.append(-1.0)
-        else:
-            col_var += [k, k]
-            col_sign += [1.0, -1.0]
-    ny = len(col_var)
-    M = np.zeros((nv, ny))
-    M[col_var, np.arange(ny)] = col_sign
-
-    A2 = A @ M if A.size else np.zeros((0, ny))
-    b2 = b - A @ off if A.size else b.copy()
-    if upper_rows:
-        extra = np.zeros((len(upper_rows), ny))
-        extra_b = np.zeros(len(upper_rows))
-        for r_i, (j, ub) in enumerate(upper_rows):
-            extra[r_i, j] = 1.0
-            extra_b[r_i] = ub
-        lanes = A2.shape[:-2]
-        A2 = np.concatenate([A2, np.broadcast_to(extra, lanes + extra.shape)],
-                            axis=-2)
-        b2 = np.concatenate([b2, np.broadcast_to(extra_b, lanes + extra_b.shape)],
-                            axis=-1)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    off = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    width = np.where(has_lo | has_hi, 1, 2)
+    first = width.cumsum() - width  # first column of each variable
+    ny = int(width.sum())
+    M = np.zeros((lo.shape[0], ny))
+    M[np.arange(lo.shape[0]), first] = np.where(has_lo | ~has_hi, 1.0, -1.0)
+    free = np.flatnonzero(width == 2)
+    M[free, first[free] + 1] = -1.0
+    boxed = np.flatnonzero(has_lo & has_hi)
+    K, r = b.shape
+    A2 = np.zeros((K, r + boxed.size, ny))
+    A2[:, :r] = A @ M
+    A2[:, r + np.arange(boxed.size), first[boxed]] = 1.0
+    b2 = np.empty((K, r + boxed.size))
+    b2[:, :r] = b - A @ off
+    b2[:, r:] = hi[boxed] - lo[boxed]
     return A2, b2, off, M
+
+
+def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, tol: Tolerances):
+    """Two-phase dense simplex on K LPs that differ only in their rows:
+    maximize c'z subject to A[k] z <= b[k] and lo <= z <= hi, for A
+    [K, rows, nv] and b [K, rows].
+
+    Returns (status [K], X [K, nv], errors): status is "optimal",
+    "infeasible" or "unbounded", X is nan where no optimum was found, and
+    errors maps each lane that failed to its NumericalFailure.  A row that
+    is negative in any lane gets an artificial column, in row order; lanes
+    where the row is not negative keep that column zero, and a zero column
+    never enters the basis, so each lane pivots as it would alone.
+    """
+    K, _, nv = A.shape
+    errors: dict[int, Exception] = {}
+    if (lo > hi).any():
+        return np.full(K, "infeasible", dtype=object), np.full((K, nv), np.nan), errors
+
+    A2, b2, off, M = _shift_bounds(A, b, lo, hi)
+    ny = M.shape[1]
+    m2 = b2.shape[1]
+    ncols_real = ny + m2
+    neg = b2 < 0
+    has_art = neg.any(axis=0)
+    art = has_art.nonzero()[0]
+    na = art.size
+    rows = np.arange(m2)
+    T = np.zeros((K, m2, ncols_real + na + 1))
+    T[:, :, :ny] = A2
+    T[:, rows, ny + rows] = 1.0
+    T[neg, :ncols_real] *= -1.0
+    b2[neg] *= -1.0
+    T[:, art, ncols_real + np.arange(na)] = neg[:, art]
+    T[:, :, -1] = b2
+    basis = np.where(neg, ncols_real - 1 + has_art.cumsum(), ny + rows)
+    # each lane takes the support-only pivot by the size of its own tableau
+    sparse = m2 * (ncols_real + neg.sum(axis=1) + 1) > _SPARSE_PIVOT_CELLS
+    max_iter = 200 + 50 * (m2 + ny)
+    status = np.full(K, "optimal", dtype=object)
+    lanes = np.arange(K)
+    live = np.ones(K, dtype=bool)
+
+    if na:
+        # A zero artificial column keeps its unit cost as reduced cost, so it
+        # never enters, and a lane without artificials is optimal at once.
+        cost1 = np.zeros(ncols_real + na)
+        cost1[ncols_real:] = 1.0
+        for k in _simplex(T, basis, cost1, lanes, ncols_real + na, sparse, tol,
+                          max_iter, errors):
+            errors[k] = NumericalFailure("phase one cannot be unbounded")
+        obj1 = np.matmul(cost1[basis][:, None, :], T[:, :, -1:])[:, 0, 0]
+        live = obj1 <= 1e-8
+        status[~live] = "infeasible"
+        live[list(errors)] = False
+        # Pivot leftover artificials out of the basis where possible.
+        left = live[:, None] & (basis >= ncols_real)
+        for i in left.any(axis=0).nonzero()[0]:
+            nz = np.abs(T[:, i, :ncols_real]) > 1e-9
+            sel = (left[:, i] & nz.any(axis=1)).nonzero()[0]
+            if sel.size:
+                Ts, Bs = T[sel], basis[sel]
+                _pivot_lanes(Ts, Bs, np.full(sel.size, i), nz[sel].argmax(axis=1),
+                             sparse[sel])
+                T[sel], basis[sel] = Ts, Bs
+
+    if live.any():
+        cost2 = np.zeros(ncols_real + na)
+        cost2[:ny] = -(M.T @ c)
+        unbounded = _simplex(T, basis, cost2, lanes[live], ncols_real, sparse,
+                             tol, max_iter, errors)
+        status[unbounded] = "unbounded"
+        live[unbounded + list(errors)] = False
+    y = np.zeros((K, ncols_real + na))
+    y[lanes[:, None], basis] = T[:, :, -1]
+    X = np.where(live[:, None], off + y[:, :ny] @ M.T, np.nan)
+    # Guard against drift: the reported point must actually be feasible
+    # (nan compares false, so lanes without a point pass).
+    infeasible = ((A @ X[:, :, None])[:, :, 0] - b > 1e-7).any(axis=1)
+    outside = ((X < lo - 1e-7) | (X > hi + 1e-7)).any(axis=1)
+    for k in (infeasible | outside).nonzero()[0]:
+        errors[int(k)] = NumericalFailure(
+            "simplex returned an infeasible point" if infeasible[k]
+            else "simplex returned a point outside the bounds")
+    return status, X, errors
+
+
+def _simplex(T, basis, cost, lanes, allow_cols, sparse, tol, max_iter,
+             errors) -> list[int]:
+    """Pivot the lanes T[lanes] to the optimum of ``cost``; returns the
+    unbounded lanes and records failed lanes in ``errors``.  The lane count
+    alone picks the kernel: ``_run_simplex`` for one, else the lockstep one.
+    """
+    if T.shape[0] > 1:
+        return _lockstep_simplex(T, basis, cost, lanes, allow_cols, sparse, tol,
+                                 max_iter, errors)
+    try:
+        if _run_simplex(T[0], basis[0], cost, allow_cols, tol, max_iter) == "unbounded":
+            return [0]
+    except NumericalFailure as exc:
+        errors[0] = exc
+    return []
 
 
 def solve_lp(prob: LpProblem, tol: Tolerances = DEFAULT) -> LpResult:
     """Two-phase dense simplex. Reports optimum, infeasibility, or unboundedness."""
-    c, A, b = prob.c, prob.a_ineq, prob.b_ineq
-    lo, hi = prob.lo, prob.hi
-    if np.any(lo > hi):
-        return LpResult("infeasible")
-
-    A2, b2, off, M = _shift_bounds(A, b, lo, hi)
-    ny = M.shape[1]
-    m2 = b2.shape[0]
-    body = np.hstack([A2, np.eye(m2)]) if m2 else np.zeros((0, ny))
-    rhs = b2.copy()
-    neg = rhs < 0
-    if m2:
-        body[neg] *= -1.0
-        rhs[neg] *= -1.0
-    art_rows = np.flatnonzero(neg)
-    na = art_rows.shape[0]
-    art_block = np.zeros((m2, na))
-    art_block[art_rows, np.arange(na)] = 1.0
-    T = np.hstack([body, art_block, rhs[:, None]])
-    basis = np.empty(m2, dtype=int)
-    pos_rows = np.flatnonzero(~neg)
-    basis[pos_rows] = ny + pos_rows
-    basis[art_rows] = ny + m2 + np.arange(na)
-    ncols_real = ny + m2
-    max_iter = 200 + 50 * (m2 + ny)
-
-    if na:
-        cost1 = np.zeros(ncols_real + na)
-        cost1[ncols_real:] = 1.0
-        status = _run_simplex(T, basis, cost1, ncols_real + na, tol, max_iter)
-        if status == "unbounded":
-            raise NumericalFailure("phase one cannot be unbounded")
-        obj1 = float(cost1[basis] @ T[:, -1])
-        if obj1 > 1e-8:
-            return LpResult("infeasible")
-        # Pivot leftover artificials out of the basis where possible.
-        for i in range(m2):
-            if basis[i] >= ncols_real:
-                row = T[i, :ncols_real]
-                nz = np.flatnonzero(np.abs(row) > 1e-9)
-                if nz.size:
-                    _pivot(T, basis, i, int(nz[0]))
-
-    c2 = M.T @ c
-    cost2 = np.zeros(ncols_real + na)
-    cost2[:ny] = -c2
-    status = _run_simplex(T, basis, cost2, ncols_real, tol, max_iter)
-    if status == "unbounded":
-        return LpResult("unbounded")
-
-    y = np.zeros(ncols_real + na)
-    y[basis] = T[:, -1]
-    x = off + M @ y[:ny]
-    # Guard against drift: the reported point must actually be feasible.
-    if A.size and np.any(A @ x - b > 1e-7):
-        raise NumericalFailure("simplex returned an infeasible point")
-    if np.any(x < lo - 1e-7) or np.any(x > hi + 1e-7):
-        raise NumericalFailure("simplex returned a point outside the bounds")
+    A, b = prob.a_ineq, prob.b_ineq
+    (status,), (x,), errors = _solve_lanes(prob.c, A[None], b[None], prob.lo,
+                                           prob.hi, tol)
+    if errors:
+        raise errors[0]
+    if status != "optimal":
+        return LpResult(status)
     active = tuple(np.flatnonzero(np.abs(A @ x - b) <= tol.active)) if A.size else ()
-    return LpResult("optimal", z=x, value=float(c @ x), active_rows=active)
+    return LpResult("optimal", z=x, value=float(prob.c @ x), active_rows=active)
 
 
 def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
@@ -356,107 +394,26 @@ def margin_lps(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
     psis = np.asarray(psis, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     K, p, m = psis.shape
-    t = np.empty(K)
-    U = np.full((K, m), np.nan)
     lo, hi = input_set.bounds()
+    t = np.empty(K)
+    U = np.empty((K, m))
     for s in range(0, K, _LANES):
-        lanes = slice(s, s + _LANES)
-        _margin_lanes(psis[lanes], deltas[lanes], input_set, lo, hi, tol,
-                      t[lanes], U[lanes])
+        psi, delta = psis[s:s + _LANES], deltas[s:s + _LANES]
+        prob = margin_problem(psi[:1], delta[:1], input_set, lo, hi)
+        bad = ~(np.isfinite(psi).all(axis=(1, 2)) & np.isfinite(delta).all(axis=1))
+        A = np.repeat(prob.a_ineq[None], len(psi), axis=0)
+        A[:, :p, :m] = np.where(bad[:, None, None], 0.0, -psi)
+        b = np.repeat(prob.b_ineq[None], len(psi), axis=0)
+        b[:, :p] = np.where(bad[:, None], 0.0, delta)
+        status, X, errors = _solve_lanes(prob.c, A, b, prob.lo, prob.hi, tol)
+        for k in np.flatnonzero(bad):
+            errors[int(k)] = ValueError("objective and rows must be finite")
+        if errors:
+            raise errors[min(errors)]
+        t[s:s + _LANES] = np.where(status == "unbounded", np.inf,
+                                   np.where(status == "infeasible", -np.inf, X[:, m]))
+        U[s:s + _LANES] = X[:, :m]
     return t, U
-
-
-def _margin_lanes(psis, deltas, input_set, lo, hi, tol, t, U):
-    """Solve ``margin_problem`` at each of K states into t [K] and U [K, m].
-
-    Each lane is ``solve_lp``'s tableau for one state, except that every row
-    owns an artificial column, left zero where the row needs none; that
-    keeps solve_lp's column order and so its pivots.  Lanes take the same
-    floating-point steps in the same order as solve_lp takes on their state.
-    """
-    K, p, m = psis.shape
-    prob = margin_problem(psis[:1], deltas[:1], input_set, lo, hi)
-    errors: dict[int, Exception] = {}
-    bad = ~(np.isfinite(psis).all(axis=(1, 2)) & np.isfinite(deltas).all(axis=1))
-    for k in np.flatnonzero(bad):
-        errors[int(k)] = ValueError("objective and rows must be finite")
-    A = np.repeat(prob.a_ineq[None], K, axis=0)
-    A[:, :p, :m] = np.where(bad[:, None, None], 0.0, -psis)
-    b = np.repeat(prob.b_ineq[None], K, axis=0)
-    b[:, :p] = np.where(bad[:, None], 0.0, deltas)
-
-    A2, b2, off, M = _shift_bounds(A, b, prob.lo, prob.hi)
-    ny = M.shape[1]
-    m2 = b2.shape[1]
-    ncols_real = ny + m2
-    rows = np.arange(m2)
-    T = np.zeros((K, m2, ncols_real + m2 + 1))
-    T[:, :, :ny] = A2
-    T[:, rows, ny + rows] = 1.0
-    neg = b2 < 0
-    T[neg, :ncols_real] *= -1.0
-    b2[neg] *= -1.0
-    T[:, rows, ncols_real + rows] = neg
-    T[:, :, -1] = b2
-    basis = np.where(neg, ncols_real + rows, ny + rows)
-    # solve_lp updates only the pivot row's support on large tableaus
-    sparse = m2 * (ncols_real + neg.sum(axis=1) + 1) > _SPARSE_PIVOT_CELLS
-    max_iter = 200 + 50 * (m2 + ny)
-
-    live = np.flatnonzero(~bad)
-    need = live[neg[live].any(axis=1)]
-    if need.size:
-        cost1 = np.zeros((K, ncols_real + m2))
-        cost1[:, ncols_real:] = neg
-        for k in _lockstep_simplex(T, basis, cost1, need, ncols_real + m2,
-                                   sparse, tol, max_iter, errors):
-            errors[k] = NumericalFailure("phase one cannot be unbounded")
-        need = _drop(need, errors)
-        w = np.take_along_axis(cost1[need], basis[need], axis=1)
-        obj1 = np.matmul(w[:, None, :], T[need, :, -1][:, :, None])[:, 0, 0]
-        empty = need[obj1 > 1e-8]
-        t[empty] = -np.inf
-        live = _drop(_drop(live, errors), empty)
-        need = need[obj1 <= 1e-8]
-        # Pivot leftover artificials out of the basis where possible.
-        for i in range(m2):
-            sel = need[basis[need, i] >= ncols_real]
-            nz = np.abs(T[sel, i, :ncols_real]) > 1e-9
-            some = nz.any(axis=1)
-            sel, nz = sel[some], nz[some]
-            if sel.size:
-                Ts, Bs = T[sel], basis[sel]
-                _pivot_lanes(Ts, Bs, np.full(sel.size, i), nz.argmax(axis=1),
-                             sparse[sel])
-                T[sel], basis[sel] = Ts, Bs
-
-    if live.size:
-        cost2 = np.zeros(ncols_real + m2)
-        cost2[:ny] = -(M.T @ prob.c)
-        unbounded = _lockstep_simplex(T, basis, cost2, live, ncols_real, sparse,
-                                      tol, max_iter, errors)
-        t[unbounded] = np.inf
-        live = _drop(_drop(live, errors), unbounded)
-    if live.size:
-        y = np.zeros((live.size, ncols_real + m2))
-        np.put_along_axis(y, basis[live], T[live, :, -1], axis=1)
-        x = off + np.matmul(M, y[:, :ny, None])[:, :, 0]
-        # Guard against drift: the reported point must actually be feasible.
-        infeasible = np.any(np.matmul(A[live], x[:, :, None])[:, :, 0] - b[live]
-                            > 1e-7, axis=1)
-        outside = np.any((x < prob.lo - 1e-7) | (x > prob.hi + 1e-7), axis=1)
-        for n in np.flatnonzero(infeasible | outside):
-            errors[int(live[n])] = NumericalFailure(
-                "simplex returned an infeasible point" if infeasible[n]
-                else "simplex returned a point outside the bounds")
-        t[live] = x[:, m]
-        U[live] = x[:, :m]
-    if errors:
-        raise errors[min(errors)]
-
-
-def _drop(lanes: np.ndarray, gone) -> np.ndarray:
-    return lanes[np.isin(lanes, list(gone), invert=True)]
 
 
 def _pivot_lanes(T: np.ndarray, basis: np.ndarray, i: np.ndarray, j: np.ndarray,
@@ -479,12 +436,11 @@ def _lockstep_simplex(T, basis, cost, lanes, allow_cols, sparse, tol, max_iter,
                       errors) -> list[int]:
     """``_run_simplex`` on the lanes T[lanes], pivoting them together.
 
-    ``cost`` is shared ([cols]) or per lane ([K, cols]), and ``sparse``
-    marks the lanes whose solve_lp tableau takes the support-only pivot.
-    Returns the lanes that came out unbounded and records failed lanes in
-    ``errors``; T and basis of every lane end as _run_simplex leaves them.  While every lane
-    is live the loop works on T itself; each time lanes finish, the live
-    ones move to a smaller copy.
+    ``sparse`` marks the lanes that take the support-only pivot.  Returns
+    the lanes that came out unbounded and records failed lanes in
+    ``errors``; T and basis of every lane end as _run_simplex leaves them.
+    While every lane is live the loop works on T itself; each time lanes
+    finish, the live ones move to a smaller copy.
     """
     whole = lanes.size == T.shape[0]
     Tw, Bw, sp = (T, basis, sparse) if whole else (T[lanes], basis[lanes],
@@ -492,7 +448,7 @@ def _lockstep_simplex(T, basis, cost, lanes, allow_cols, sparse, tol, max_iter,
     L, m2, C = Tw.shape
     ar = np.arange(L)
     r = np.zeros((L, C))
-    r[:, :cost.shape[-1]] = cost if cost.ndim == 1 else cost[lanes]
+    r[:, :cost.shape[0]] = cost
     for i in range(m2):
         f = r[ar, Bw[:, i]]
         hit = f != 0.0

@@ -1,9 +1,12 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and every private
+module-level name of the package is referenced somewhere in the package.
 
 No linter ships with the project's dependencies, so this parses each module
 of the package and of the tests with ``ast`` and fails on any imported name
 that the module never reads.  Package ``__init__`` files re-export what they
 import, and ``from __future__`` imports are directives, so both are skipped.
+A ``_name`` function, class or constant that no package module reads is left
+over from a refactor; tests reaching into it do not keep it alive.
 """
 import ast
 from pathlib import Path
@@ -42,3 +45,49 @@ def test_finder_reports_an_unused_name():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and assignments, by line."""
+    found: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names that the source reads, as a name, an attribute or an import."""
+    refs: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_finder_reports_an_unreferenced_private_name():
+    src = ("_USED = 1\n_ORPHAN = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
+           "def _dead():\n    pass\n\n\nclass _Box:\n    pass\n\n\nprint(_helper, _Box)\n")
+    defined = private_definitions(src)
+    assert defined == {"_USED": 1, "_ORPHAN": 2, "_helper": 5, "_dead": 9, "_Box": 13}
+    assert sorted(set(defined) - referenced_names(src)) == ["_ORPHAN", "_dead"]
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    package = [p for p in SOURCES if p.parent.name == "hullcert"]
+    refs = set().union(*(referenced_names(p.read_text()) for p in package))
+    orphans = [f"{p.name}:{line}: {name}" for p in package
+               for name, line in private_definitions(p.read_text()).items()
+               if name not in refs]
+    assert orphans == []

@@ -70,6 +70,26 @@ def test_lp_degenerate_cycling_guard():
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_lp_outputs_match_the_frozen_bits():
+    # solve_lp inputs and outputs saved from the scalar two-phase simplex:
+    # every LP that certify makes on example1, case2 and case3 (case1
+    # certifies by the endpoint rule, without an LP), one joint-blend LP
+    # above _SPARSE_PIVOT_CELLS, and one LP each with bounds only, free and
+    # one-sided variables, a phase one, no feasible point and no optimum
+    data = np.load(Path(__file__).parent / "data" / "solve_lp_frozen.npz")
+    for k in range(int(data["count"])):
+        prob = LpProblem.maximize(*(data[f"{k}_{f}"]
+                                    for f in ("c", "a_ineq", "b_ineq", "lo", "hi")))
+        res = solve_lp(prob)
+        assert res.status == str(data[f"{k}_status"]), str(data[f"{k}_label"])
+        if res.status == "optimal":
+            assert np.array_equal(_bits(res.z), _bits(data[f"{k}_z"]))
+            assert _bits(res.value) == _bits(data[f"{k}_value"])
+            assert res.active_rows == tuple(data[f"{k}_active_rows"])
+        else:
+            assert res.z is None and res.value is None and res.active_rows == ()
+
+
 def _random_box_lp(rng):
     nv = int(rng.integers(1, 5))
     nr = int(rng.integers(1, 7))
