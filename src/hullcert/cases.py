@@ -199,8 +199,6 @@ def cbf_rows(name: str):
         return rows
     if name == "case3":
         return [(np.array([1.0, 1.0]), 1.0), (np.array([-1.0, -1.0]), 1.0)]
-    if name == "example1":
-        return [(np.array([1.0]), 0.0)]
     raise ValueError(f"unknown case {name!r}")
 
 

@@ -149,17 +149,6 @@ def _vertex_margins(stack: StackedMap, hull: Hull, u: np.ndarray) -> np.ndarray:
     return psis @ u + deltas
 
 
-def _box_vertex_margins(stack: StackedMap, hull: Hull,
-                        lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """[N, p] worst-case row margins over the input box, exactly.
-
-    min over the box of psi_r . u is separable: sum_k min(psi_rk lo_k,
-    psi_rk hi_k).
-    """
-    psis, deltas = stack.eval(hull.vertices)
-    return np.minimum(psis * lo, psis * hi).sum(axis=2) + deltas
-
-
 def _box_inside_input_set(input_set: InputSet, lo, hi, tol: Tolerances) -> bool:
     blo, bhi = input_set.bounds()
     if np.any(lo < blo - tol.feas) or np.any(hi > bhi + tol.feas):
@@ -298,7 +287,7 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
     except A3Violated as exc:
         return CertificateOutcome("cpc_interval", False, reason=str(exc))
     blo, bhi = input_set.bounds()
-    psis = stack.psi_at(hull.vertices)  # [N, p, m]
+    psis, deltas = stack.eval(hull.vertices)  # [N, p, m], [N, p]
 
     lo = np.empty(stack.m)
     hi = np.empty(stack.m)
@@ -334,7 +323,9 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
         return CertificateOutcome(
             "cpc_interval", False,
             reason="interval box leaves the input polytope")
-    margins = _box_vertex_margins(stack, hull, lo, hi)
+    # [N, p] worst-case row margins over the box, exactly: min over the box
+    # of psi_r . u is separable, sum_k min(psi_rk lo_k, psi_rk hi_k)
+    margins = np.minimum(psis * lo, psis * hi).sum(axis=2) + deltas
     worst = float(margins.min())
     if worst < -tol.feas:
         return CertificateOutcome(

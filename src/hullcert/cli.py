@@ -221,8 +221,6 @@ def cmd_explicit(args) -> int:
 def _dynamics_for(prob: Problem, name: str) -> tuple[Dynamics, list, float]:
     if name in ("case1", "case2"):
         return cases.three_room_dynamics(), cases.cbf_rows(name), 40.0
-    if name == "case3":
-        return cases.case3_dynamics(), cases.cbf_rows(name), 15.0
     if prob.lti is not None:
         dyn = Dynamics.lti(prob.lti["A"], prob.lti["B"])
         rows = [(np.asarray(a, dtype=float), float(b))

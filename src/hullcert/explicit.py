@@ -214,7 +214,7 @@ def assumption2_data(stack: StackedMap, hull: Hull, tol: Tolerances = DEFAULT):
 
 
 def kkt_affine_law(psi_bar, d_mat, d0, G, b, u_gain, u0,
-                   a_set, b_set, tol: Tolerances = DEFAULT) -> AffineLaw:
+                   a_set, b_set) -> AffineLaw:
     """Affine optimizer and multiplier laws for one active set.
 
     Solves the equality-constrained KKT system
@@ -448,7 +448,7 @@ def partition_hull(stack: StackedMap, hull: Hull, input_set: InputSet,
     for a_set, b_set in order:
         try:
             law = kkt_affine_law(psi_bar, d_mat, d0, G, b,
-                                 u_des.U_gain, u_des.u0, a_set, b_set, tol)
+                                 u_des.U_gain, u_des.u0, a_set, b_set)
         except LicqViolated as exc:
             raise UnresolvedRegion(
                 f"LICQ fails for active set A={a_set}, B={b_set} "

@@ -14,13 +14,13 @@ row and column order, so Bland's rule pivots the same way for each caller.
 The simplex keeps a dense tableau.  Most LPs here are tiny, but the joint
 blend LP couples every pair of hull vertices and reaches thousands of rows and
 columns, while its normalised pivot row has only tens of nonzeros.  On
-tableaus above ``_SPARSE_PIVOT_CELLS`` a pivot therefore updates only the
-columns in the pivot row's support.  That is exact: each updated entry gets
-the same single product and subtraction as in the dense rank-1 update, and
-each skipped entry would have had an exact zero subtracted from a finite
-value, so pivots, bases and results are unchanged (up to the sign of a zero).
-Smaller tableaus keep the dense update, which costs one numpy call instead of
-one per column.
+tableaus above ``_SPARSE_PIVOT_CELLS`` the one-lane kernel therefore updates
+only the columns in the pivot row's support.  That is exact: each updated
+entry gets the same single product and subtraction as in the dense rank-1
+update, and each skipped entry would have had an exact zero subtracted from a
+finite value, so pivots, bases and results are unchanged (up to the sign of a
+zero).  Smaller tableaus, and every lockstep pivot, keep the dense update,
+which costs one numpy call instead of one per column.
 
 One two-phase routine, ``_solve_lanes``, solves K LPs that differ only in
 their rows: it builds the tableaus, runs phase one, pivots leftover
@@ -35,17 +35,20 @@ in the same order, so ``margin_lps`` matches ``margin_lp`` bit for bit.  One
 kernel for both costs too much: run as one lockstep lane, the certify
 cascade's LPs (certify-mix seed 1, one core of a 2-vCPU host, numpy 2.4)
 took a median 2.8x as long below 15,000 cells, for the fancy indexing of
-each step, and 5.8x above, where the lockstep support-only update still
-computes every cell.
+each step, and 5.8x above, where the lockstep kernel has no support-only
+update.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problem import InputSet
 from .tolerances import DEFAULT, Tolerances
+
+if TYPE_CHECKING:
+    from .problem import InputSet
 
 
 class NumericalFailure(RuntimeError):
@@ -105,9 +108,10 @@ class LpResult:
 # blows the tableau up to 1e21 and returns an infeasible point.
 _RATIO_EPS = 1e-9
 
-# Tableaus with more cells than this update only the pivot row's support.
-# Each column costs one numpy call (a few us), so below this size the single
-# dense rank-1 update is faster.  Measured on the certify cascade's LPs: dense
+# One-lane tableaus with more cells than this update only the pivot row's
+# support; lockstep lanes always take the dense update.  Each column costs
+# one numpy call (a few us), so below this size the single dense rank-1
+# update is faster.  Measured on the certify cascade's LPs: dense
 # mostly wins up to 10,000 cells, they tie near 18,000, and from 19,000 cells
 # on the per-column update wins (about 3x at 100,000 cells, 6-9x on the
 # 1.3M-cell joint-blend tableaus).  Oracle scans stay under 200 cells and
@@ -225,8 +229,6 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     T[:, art, ncols_real + np.arange(na)] = neg[:, art]
     T[:, :, -1] = b2
     basis = np.where(neg, ncols_real - 1 + has_art.cumsum(), ny + rows)
-    # each lane takes the support-only pivot by the size of its own tableau
-    sparse = m2 * (ncols_real + neg.sum(axis=1) + 1) > _SPARSE_PIVOT_CELLS
     max_iter = 200 + 50 * (m2 + ny)
     status = np.full(K, "optimal", dtype=object)
     lanes = np.arange(K)
@@ -237,8 +239,8 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
         # never enters, and a lane without artificials is optimal at once.
         cost1 = np.zeros(ncols_real + na)
         cost1[ncols_real:] = 1.0
-        for k in _simplex(T, basis, cost1, lanes, ncols_real + na, sparse, tol,
-                          max_iter, errors):
+        for k in _simplex(T, basis, cost1, lanes, ncols_real + na, tol, max_iter,
+                          errors):
             errors[k] = NumericalFailure("phase one cannot be unbounded")
         obj1 = np.matmul(cost1[basis][:, None, :], T[:, :, -1:])[:, 0, 0]
         live = obj1 <= 1e-8
@@ -251,15 +253,14 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
             sel = (left[:, i] & nz.any(axis=1)).nonzero()[0]
             if sel.size:
                 Ts, Bs = T[sel], basis[sel]
-                _pivot_lanes(Ts, Bs, np.full(sel.size, i), nz[sel].argmax(axis=1),
-                             sparse[sel])
+                _pivot_lanes(Ts, Bs, np.full(sel.size, i), nz[sel].argmax(axis=1))
                 T[sel], basis[sel] = Ts, Bs
 
     if live.any():
         cost2 = np.zeros(ncols_real + na)
         cost2[:ny] = -(M.T @ c)
-        unbounded = _simplex(T, basis, cost2, lanes[live], ncols_real, sparse,
-                             tol, max_iter, errors)
+        unbounded = _simplex(T, basis, cost2, lanes[live], ncols_real, tol,
+                             max_iter, errors)
         status[unbounded] = "unbounded"
         live[unbounded + list(errors)] = False
     y = np.zeros((K, ncols_real + na))
@@ -276,14 +277,14 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     return status, X, errors
 
 
-def _simplex(T, basis, cost, lanes, allow_cols, sparse, tol, max_iter,
+def _simplex(T, basis, cost, lanes, allow_cols, tol, max_iter,
              errors) -> list[int]:
     """Pivot the lanes T[lanes] to the optimum of ``cost``; returns the
     unbounded lanes and records failed lanes in ``errors``.  The lane count
     alone picks the kernel: ``_run_simplex`` for one, else the lockstep one.
     """
     if T.shape[0] > 1:
-        return _lockstep_simplex(T, basis, cost, lanes, allow_cols, sparse, tol,
+        return _lockstep_simplex(T, basis, cost, lanes, allow_cols, tol,
                                  max_iter, errors)
     try:
         if _run_simplex(T[0], basis[0], cost, allow_cols, tol, max_iter) == "unbounded":
@@ -416,35 +417,29 @@ def margin_lps(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
     return t, U
 
 
-def _pivot_lanes(T: np.ndarray, basis: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 sparse: np.ndarray):
-    """``_pivot`` on every lane of T [L, rows, cols] at its own (i, j)."""
+def _pivot_lanes(T: np.ndarray, basis: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """``_pivot``'s dense update on every lane of T [L, rows, cols] at its
+    own (i, j)."""
     ar = np.arange(T.shape[0])
     row = T[ar, i] / T[ar, i, j][:, None]
     T[ar, i] = row
     col = T[ar, :, j]
     col[ar, i] = 0.0
-    if sparse.any():
-        keep = (row == 0.0) & sparse[:, None]
-        T[...] = np.where(keep[:, None, :], T, T - col[:, :, None] * row[:, None, :])
-    else:
-        T -= col[:, :, None] * row[:, None, :]
+    T -= col[:, :, None] * row[:, None, :]
     basis[ar, i] = j
 
 
-def _lockstep_simplex(T, basis, cost, lanes, allow_cols, sparse, tol, max_iter,
+def _lockstep_simplex(T, basis, cost, lanes, allow_cols, tol, max_iter,
                       errors) -> list[int]:
     """``_run_simplex`` on the lanes T[lanes], pivoting them together.
 
-    ``sparse`` marks the lanes that take the support-only pivot.  Returns
-    the lanes that came out unbounded and records failed lanes in
+    Returns the lanes that came out unbounded and records failed lanes in
     ``errors``; T and basis of every lane end as _run_simplex leaves them.
     While every lane is live the loop works on T itself; each time lanes
     finish, the live ones move to a smaller copy.
     """
     whole = lanes.size == T.shape[0]
-    Tw, Bw, sp = (T, basis, sparse) if whole else (T[lanes], basis[lanes],
-                                                   sparse[lanes])
+    Tw, Bw = (T, basis) if whole else (T[lanes], basis[lanes])
     L, m2, C = Tw.shape
     ar = np.arange(L)
     r = np.zeros((L, C))
@@ -474,11 +469,11 @@ def _lockstep_simplex(T, basis, cost, lanes, allow_cols, sparse, tol, max_iter,
             if not whole:
                 T[lanes[~go]], basis[lanes[~go]] = Tw[~go], Bw[~go]
             whole = False
-            Tw, Bw, sp, r, lanes, i, j = (a[go] for a in (Tw, Bw, sp, r, lanes, i, j))
+            Tw, Bw, r, lanes, i, j = (a[go] for a in (Tw, Bw, r, lanes, i, j))
             if not lanes.size:
                 return unbounded
             ar = np.arange(lanes.size)
-        _pivot_lanes(Tw, Bw, i, j, sp)
+        _pivot_lanes(Tw, Bw, i, j)
         r -= r[ar, j][:, None] * Tw[ar, i]
     else:
         for k in lanes:
@@ -658,28 +653,15 @@ class WarmQp:
         self.hints = hints
         self._last_rows: tuple[int, ...] = ()
         self._last_u: np.ndarray | None = None
-        # constants across a sweep: the input polytope, and the stacked row
-        # matrix whenever Psi does not change between calls
-        self._Gb: tuple[np.ndarray, np.ndarray] | None = None
-        self._psi_ref: np.ndarray | None = None
-        self._C: np.ndarray | None = None
+        self._G, self._b = input_set.to_polytope()
 
     def solve(self, u_des, psi_x, delta_x) -> QpSolution:
         u_des = np.atleast_1d(np.asarray(u_des, dtype=float))
         psi_x = np.atleast_2d(np.asarray(psi_x, dtype=float))
         delta_x = np.atleast_1d(np.asarray(delta_x, dtype=float))
         p, m = psi_x.shape
-        if self._Gb is None:
-            self._Gb = self.input_set.to_polytope()
-        G, bvec = self._Gb
-        if self._C is not None and self._C.shape[0] == p + G.shape[0] \
-                and np.array_equal(psi_x, self._psi_ref):
-            C = self._C
-        else:
-            C = np.vstack([psi_x, -G])
-            self._psi_ref = psi_x.copy()
-            self._C = C
-        d = np.concatenate([-delta_x, -bvec])
+        C = np.vstack([psi_x, -self._G])
+        d = np.concatenate([-delta_x, -self._b])
         sol = None
         if self._last_rows:
             W = list(self._last_rows)
@@ -702,7 +684,7 @@ class WarmQp:
             resid = C @ u_des - d
             if resid.min() >= -self.tol.feas:
                 sol = _qp_solution(u_des.copy(), u_des, resid, np.zeros(p),
-                                   np.zeros(G.shape[0]), p, self.tol, 0)
+                                   np.zeros(self._G.shape[0]), p, self.tol, 0)
         if sol is None:
             sol = solve_qp_projection(
                 u_des, psi_x, delta_x, self.input_set, tol=self.tol,

@@ -41,15 +41,16 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _box_grid(hull: Hull, per_edge: int):
-    lo, hi = hull.bounding_box()
-    _, _, corner_index = hull.as_box()
-    n = hull.n
+def _box_grid(box, per_edge: int):
+    """Axis-product grid over ``Hull.as_box()``'s (lo, hi, corner_index),
+    with each point's multilinear weights on the corners."""
+    lo, hi, corner_index = box
+    n = lo.shape[0]
     axes = [np.linspace(lo[a], hi[a], per_edge) for a in range(n)]
     pts = np.array(list(product(*axes)))
     span = hi - lo
     w_hi = (pts - lo) / span  # [K, n]
-    lams = np.zeros((pts.shape[0], hull.N))
+    lams = np.zeros((pts.shape[0], len(corner_index)))
     for mask, vidx in corner_index.items():
         w = np.ones(pts.shape[0])
         for a in range(n):
@@ -107,8 +108,9 @@ def sample_hull(hull: Hull, per_edge: int | None = None, n_random: int = 20000,
     if N == 1:
         return hull.vertices.copy(), np.ones((1, 1)), "vertex"
 
-    if mode in (None, "box") and hull.as_box() is not None:
-        pts, lams = _box_grid(hull, per_edge)
+    box = hull.as_box() if mode in (None, "box") else None
+    if box is not None:
+        pts, lams = _box_grid(box, per_edge)
         return pts, lams, "box"
     if mode == "box":
         raise ValueError("hull vertices are not a full coordinate box")
@@ -222,8 +224,8 @@ def replay_margins(stack: StackedMap, X: np.ndarray, U: np.ndarray) -> np.ndarra
 def check_certificate(stack: StackedMap, hull: Hull, input_set: InputSet,
                       cert, points: np.ndarray | None = None,
                       lams: np.ndarray | None = None,
-                      per_edge: int | None = None, n_random: int = 20000,
-                      seed: int = 0, tol: Tolerances = DEFAULT) -> dict:
+                      per_edge: int | None = None,
+                      tol: Tolerances = DEFAULT) -> dict:
     """Replay a certificate's witness at dense hull samples.
 
     Interval and endpoint certificates are replayed at every corner of their
@@ -232,8 +234,7 @@ def check_certificate(stack: StackedMap, hull: Hull, input_set: InputSet,
     -tol.feas or any witness outside the input set.
     """
     if points is None or lams is None:
-        points, lams, mode = sample_hull(hull, per_edge=per_edge,
-                                         n_random=n_random, seed=seed)
+        points, lams, mode = sample_hull(hull, per_edge=per_edge)
     else:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         lams = np.atleast_2d(np.asarray(lams, dtype=float))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optcore import LpProblem, solve_lp
+
 
 def _ro(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
@@ -148,7 +150,6 @@ class StackedMap:
         self.n = n
         self.m = m
         self.p = len(psi)
-        self._aff: AffineStack | None | bool = False  # False = not computed yet
 
     def psi_at(self, x) -> np.ndarray:
         """Psi at one state x [n] -> [p, m], or at each row of X [K, n] ->
@@ -176,18 +177,14 @@ class StackedMap:
 
     def affine_arrays(self) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""
-        if self._aff is not False:
-            return self._aff
-        aff = None
-        if all(q.is_affine() for row in self.psi for q in row) and \
-                all(q.is_affine() for q in self.delta):
-            P0 = np.array([[q.d for q in row] for row in self.psi])
-            P1 = np.array([[q.c for q in row] for row in self.psi])
-            D0 = np.array([q.d for q in self.delta])
-            D1 = np.array([q.c for q in self.delta])
-            aff = AffineStack(_ro(P0), _ro(P1), _ro(D0), _ro(D1))
-        self._aff = aff
-        return aff
+        if not (all(q.is_affine() for row in self.psi for q in row)
+                and all(q.is_affine() for q in self.delta)):
+            return None
+        P0 = np.array([[q.d for q in row] for row in self.psi])
+        P1 = np.array([[q.c for q in row] for row in self.psi])
+        D0 = np.array([q.d for q in self.delta])
+        D1 = np.array([q.c for q in self.delta])
+        return AffineStack(_ro(P0), _ro(P1), _ro(D0), _ro(D1))
 
     def to_dict(self) -> dict:
         return {
@@ -212,8 +209,6 @@ class StackedMap:
 def barycentric_lp(V: np.ndarray, x: np.ndarray, tol: float):
     """Weights lam in [0, 1]^N with lam'V = x and sum lam = 1, each to within
     tol, found by a feasibility LP; None when x is outside the hull of V."""
-    from .optcore import LpProblem, solve_lp
-
     N = V.shape[0]
     A = np.vstack([V.T, -V.T, np.ones((1, N)), -np.ones((1, N))])
     b = np.concatenate([x + tol, -(x - tol), [1.0 + tol], [-(1.0 - tol)]])
@@ -238,7 +233,6 @@ class Hull:
         self.vertices = _ro(V)
         self.N = V.shape[0]
         self.n = V.shape[1]
-        self._box: tuple | None | bool = False
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -249,29 +243,21 @@ class Hull:
         corner_index maps each corner bitmask (bit a set means axis a sits at hi)
         to the index of the matching vertex.
         """
-        if self._box is not False:
-            return self._box
-        result = None
         lo, hi = self.bounding_box()
-        if self.N == 2 ** self.n and np.all(hi - lo > 1e-12):
-            corner_index = {}
-            ok = True
-            for j, v in enumerate(self.vertices):
-                bits = 0
-                for a in range(self.n):
-                    if abs(v[a] - hi[a]) <= 1e-12:
-                        bits |= 1 << a
-                    elif abs(v[a] - lo[a]) > 1e-12:
-                        ok = False
-                        break
-                if not ok or bits in corner_index:
-                    ok = False
-                    break
-                corner_index[bits] = j
-            if ok and len(corner_index) == self.N:
-                result = (lo, hi, corner_index)
-        self._box = result
-        return result
+        if self.N != 2 ** self.n or np.any(hi - lo <= 1e-12):
+            return None
+        corner_index = {}
+        for j, v in enumerate(self.vertices):
+            bits = 0
+            for a in range(self.n):
+                if abs(v[a] - hi[a]) <= 1e-12:
+                    bits |= 1 << a
+                elif abs(v[a] - lo[a]) > 1e-12:
+                    return None
+            if bits in corner_index:
+                return None
+            corner_index[bits] = j
+        return lo, hi, corner_index
 
     def barycentric(self, x, tol: float = 1e-9):
         """Coefficients lam >= 0, sum lam = 1, lam'V = x, or None when x is outside."""
@@ -327,8 +313,6 @@ class InputSet:
             self._check_nonempty()
 
     def _check_nonempty(self):
-        from .optcore import LpProblem, solve_lp
-
         lo, hi = self.bounds()
         G, b = self.polytope
         res = solve_lp(LpProblem.maximize(np.zeros(self.m), a_ineq=G, b_ineq=b,

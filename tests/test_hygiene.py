@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every private
-module-level name of the package is referenced somewhere in the package.
+"""Source hygiene: every imported name is used, every private module-level
+name of the package is referenced somewhere in the package, and every
+parameter of a module-level package function is read in its body.
 
 No linter ships with the project's dependencies, so this parses each module
 of the package and of the tests with ``ast`` and fails on any imported name
@@ -91,3 +92,31 @@ def test_every_private_name_is_referenced_in_the_package():
                for name, line in private_definitions(p.read_text()).items()
                if name not in refs]
     assert orphans == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function(param)`` for each parameter of a module-level function
+    that its body, nested functions included, never reads."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({p.arg})" for p in params if p.arg not in read]
+    return found
+
+
+def test_finder_reports_an_unread_parameter():
+    src = ("def f(a, b=1, *rest, c, **kw):\n    def g():\n        return a + c\n"
+           "    return g\n\n\ndef h(x, y):\n    return y\n")
+    assert unread_parameters(src) == ["f(b)", "f(rest)", "f(kw)", "h(x)"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "hullcert"],
+                         ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
