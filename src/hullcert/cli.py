@@ -28,6 +28,7 @@ import numpy as np
 from . import cases
 from .certificates import certify
 from .explicit import (Assumption2Violated, UnresolvedRegion, partition_hull)
+from .optcore import NumericalFailure
 from .oracle import grid_scan
 from .problem import Problem, load_problem, problem_to_dict
 from .reporting import jsonable, write_report
@@ -287,6 +288,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NumericalFailure as exc:
+        print(f"inconclusive: numerical failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

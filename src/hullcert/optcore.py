@@ -19,8 +19,11 @@ only the columns in the pivot row's support.  That is exact: each updated
 entry gets the same single product and subtraction as in the dense rank-1
 update, and each skipped entry would have had an exact zero subtracted from a
 finite value, so pivots, bases and results are unchanged (up to the sign of a
-zero).  Smaller tableaus, and every lockstep pivot, keep the dense update,
-which costs one numpy call instead of one per column.
+zero).  Such a tableau is stored column-major, so each updated column is one
+contiguous run instead of a stride of one row per entry.  Smaller tableaus,
+and every lockstep pivot, keep the dense update, which costs one numpy call
+instead of one per column, on a row-major tableau.  The layout changes no
+bit: every entry gets the same operations either way.
 
 One two-phase routine, ``_solve_lanes``, solves K LPs that differ only in
 their rows: it builds the tableaus, runs phase one, pivots leftover
@@ -108,8 +111,9 @@ class LpResult:
 # blows the tableau up to 1e21 and returns an infeasible point.
 _RATIO_EPS = 1e-9
 
-# One-lane tableaus with more cells than this update only the pivot row's
-# support; lockstep lanes always take the dense update.  Each column costs
+# One-lane tableaus with more cells than this are stored column-major and
+# update only the pivot row's support; lockstep lanes and smaller tableaus
+# are row-major and take the dense update.  Each column costs
 # one numpy call (a few us), so below this size the single dense rank-1
 # update is faster.  Measured on the certify cascade's LPs: dense
 # mostly wins up to 10,000 cells, they tie near 18,000, and from 19,000 cells
@@ -142,21 +146,25 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     ncols = T.shape[1] - 1
     r = np.zeros(ncols + 1)
     r[:cost.shape[0]] = cost
-    for i, bv in enumerate(basis):
-        if r[bv] != 0.0:
-            r -= r[bv] * T[i]
+    # Basic columns are unit columns, so pricing out one basic variable
+    # leaves the others' costs as they were: the rows to price are known
+    # up front, and taking them in ascending order keeps the same steps.
+    for i in (r[basis] != 0.0).nonzero()[0]:
+        r -= r[basis[i]] * T[i]
     for _ in range(max_iter):
         cand = (r[:allow_cols] < -1e-9).nonzero()[0]
         if cand.size == 0:
             return "optimal"
         j = int(cand[0])
         col = T[:, j]
-        pos = col > _RATIO_EPS
-        if not pos.any():
+        pos = (col > _RATIO_EPS).nonzero()[0]
+        if not pos.size:
             return "unbounded"
-        ratios = np.where(pos, np.maximum(T[:, -1], 0.0) / np.where(pos, col, 1.0), np.inf)
+        ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
         best = ratios.min()
-        ties = (ratios <= best + 1e-12).nonzero()[0]
+        # Every other row's ratio counts as +inf: it ties only an overflowed
+        # best ratio, where the smallest basis index of all rows leaves.
+        ties = np.arange(col.size) if best == np.inf else pos[ratios <= best + 1e-12]
         i = int(ties[np.argmin(basis[ties])])
         if abs(T[i, j]) < tol.pivot:
             raise NumericalFailure("pivot magnitude below tolerance")
@@ -221,7 +229,11 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     art = has_art.nonzero()[0]
     na = art.size
     rows = np.arange(m2)
-    T = np.zeros((K, m2, ncols_real + na + 1))
+    ncols = ncols_real + na + 1
+    # One large lane is pivoted column by column (see ``_pivot``), so it is
+    # stored column-major; other tableaus stay row-major.
+    T = np.zeros((K, m2, ncols),
+                 order="F" if K == 1 and m2 * ncols > _SPARSE_PIVOT_CELLS else "C")
     T[:, :, :ny] = A2
     T[:, rows, ny + rows] = 1.0
     T[neg, :ncols_real] *= -1.0

@@ -472,13 +472,18 @@ def problem_to_dict(stack: StackedMap, hull: Hull, input_set: InputSet,
 
 
 def dict_to_problem(data: dict, source_hash: str | None = None) -> Problem:
+    if not isinstance(data, dict):
+        raise ValueError("a problem file must hold a JSON object, not a "
+                         f"{type(data).__name__}")
     try:
         input_set = InputSet.from_dict(data["input_set"])
         hull = Hull.from_dict(data["hull"])
         lti = data.get("lti")
         if lti:
-            cbfs = [(row["a"], row["b"], row["kappa"]) for row in lti["cbfs"]]
-            stack = build_from_lti(lti["A"], lti["B"], cbfs, input_set)
+            # rows as (a, b, kappa), the form the built-in cases carry
+            lti = {**lti, "cbfs": [(row["a"], row["b"], row["kappa"])
+                                   for row in lti["cbfs"]]}
+            stack = build_from_lti(lti["A"], lti["B"], lti["cbfs"], input_set)
         else:
             stack = StackedMap.from_dict(data)
         u_des = DesiredInput.from_dict(data["u_des"]) if data.get("u_des") else None

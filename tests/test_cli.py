@@ -151,6 +151,43 @@ def test_simulate_needs_dynamics(tmp_path, capsys):
     assert "simulate needs" in capsys.readouterr().err
 
 
+def test_simulate_on_a_saved_lti_problem_matches_the_builtin(tmp_path):
+    # the problem file that ``demo case3 --out`` writes
+    prob = cases.case3_problem()
+    path = tmp_path / "problem.json"
+    save_problem(path, prob.stack, prob.hull, prob.input_set,
+                 u_des=prob.u_des, lti=prob.lti)
+    for spec, out in ((str(path), "file"), ("case3", "builtin")):
+        assert main(["simulate", "--problem", spec,
+                     "--out", str(tmp_path / out)]) == 0
+    for i in range(10):
+        name = f"traj_{i}.csv"
+        assert ((tmp_path / "file" / name).read_bytes()
+                == (tmp_path / "builtin" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["certify", "oracle", "explicit", "simulate"])
+def test_a_top_level_json_array_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "p.json"
+    path.write_text("[1, 2]\n")
+    assert main([command, "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load") and "JSON object" in err
+
+
+def test_numerical_failure_is_inconclusive(tmp_path, capsys):
+    # an input box of +-1e300: the oracle's margin LPs return points that
+    # fail the drift guard, while the certify cascade reports no certificate
+    prob = cases.example1_problem()
+    huge = InputSet(box=(np.full(1, -1e300), np.full(1, 1e300)))
+    path = tmp_path / "p.json"
+    save_problem(path, prob.stack, prob.hull, huge)
+    assert main(["oracle", "--problem", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "inconclusive: numerical failure: simplex returned an infeasible point\n")
+    assert main(["certify", "--problem", str(path)]) == 2
+
+
 def test_certify_accepts_problem_files(tmp_path):
     prob = cases.case3_problem()
     path = tmp_path / "case3.json"

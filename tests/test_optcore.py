@@ -172,6 +172,10 @@ def test_sparse_pivot_equals_dense_rank_one_update(rows, cols):
         optcore._pivot(got, basis, i, j)
         assert np.array_equal(got, ref)
         assert basis[i] == j
+        # solve_lp stores large tableaus column-major: same bits either way
+        col_major = np.asfortranarray(T)
+        optcore._pivot(col_major, basis, i, j)
+        assert np.array_equal(_bits(col_major), _bits(got))
     # the first two sizes take the dense update, the last two the sparse one
     assert (rows * cols > optcore._SPARSE_PIVOT_CELLS) == (rows >= 150)
 
@@ -186,6 +190,16 @@ def test_lp_ratio_test_skips_roundoff_entries():
                                       data["lo"], data["hi"]))
     assert res.status == "optimal"
     assert res.value == pytest.approx(-2.8663286406934425, abs=1e-6)
+
+
+def test_lp_ratio_test_overflow_fails_instead_of_pivoting_to_nan():
+    # the one positive entry's ratio 1e301 / 1e-8 overflows to +inf, which
+    # every other row ties; pivoting on the overflowed row alone ends
+    # "optimal" at a nan point
+    prob = LpProblem.maximize([1.0], [[-1.0], [1e-8]], [1.0, 1e301], [0.0], None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure):
+            solve_lp(prob)
 
 
 def _varying_corridor(rng, n, m, rho):
@@ -224,6 +238,58 @@ def test_joint_blend_lp_matches_highs(monkeypatch):
                   bounds=list(zip(prob.lo, prob.hi)), method="highs")
     assert res.status == "optimal" and ref.status == 0
     assert res.value == pytest.approx(-ref.fun, abs=1e-6)
+
+
+def _tail_blend_lp():
+    """A joint-blend LP of certify-mix's largest kind (n=4, m=2, p=8, varying
+    Psi, box inputs): 1,088 rows and 32 box rows, a 1,120-row tableau."""
+    stack, hull, us = _varying_corridor(np.random.default_rng(13), 4, 2, 3.5)
+    psis, deltas = stack.eval(hull.vertices)
+    lo, hi = us.bounds()
+    return optcore.margin_problem(psis, deltas, us, lo, hi, per_vertex=True)
+
+
+def test_tail_size_joint_blend_lp_matches_the_frozen_bits():
+    # outputs saved from the row-major scalar simplex (numpy 2.4)
+    data = np.load(Path(__file__).parent / "data" / "joint_blend_1120_frozen.npz")
+    prob = _tail_blend_lp()
+    assert prob.a_ineq.shape == (1088, 33)
+    res = solve_lp(prob)
+    assert res.status == "optimal"
+    assert np.array_equal(_bits(res.z), _bits(data["z"]))
+    assert _bits(res.value) == _bits(data["value"])
+    assert res.active_rows == tuple(data["active_rows"])
+
+
+def test_tableau_layout_follows_the_pivot_kernel(monkeypatch):
+    # one lane above _SPARSE_PIVOT_CELLS is column-major, for its per-column
+    # update; smaller lanes are row-major, for the dense update
+    seen = []
+    run = optcore._run_simplex
+
+    def spy(T, *args):
+        seen.append((T.size > optcore._SPARSE_PIVOT_CELLS, T.flags.f_contiguous,
+                     T.flags.c_contiguous))
+        return run(T, *args)
+
+    monkeypatch.setattr(optcore, "_run_simplex", spy)
+    solve_lp(_tail_blend_lp())
+    solve_lp(LpProblem.maximize([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0],
+                                [1.0, 1.0]))
+    assert {large for large, _, _ in seen} == {True, False}
+    assert all(f == large and c != large for large, f, c in seen)
+    # lockstep tableaus stay row-major at any size
+    row_major = []
+    lockstep = optcore._lockstep_simplex
+
+    def spy_lanes(T, *args):
+        row_major.append(T.flags.c_contiguous)
+        return lockstep(T, *args)
+
+    monkeypatch.setattr(optcore, "_lockstep_simplex", spy_lanes)
+    monkeypatch.setattr(optcore, "_SPARSE_PIVOT_CELLS", 0)
+    optcore.margin_lps(*_lockstep_case(1, 2, 3, "box", K=4))
+    assert row_major and all(row_major)
 
 
 # --------------------------------------------------------------------------
