@@ -30,16 +30,16 @@ their rows: it builds the tableaus, runs phase one, pivots leftover
 artificials out, runs phase two, extracts each point and checks it.
 ``solve_lp`` is its one-lane call.  A dense scan solves thousands of margin
 LPs with 2-6 rows each, where the interpreter's overhead per numpy call
-dominates, so ``margin_lps`` hands it one lane per state.  Only the
-pivot loop comes in two kernels, chosen by the lane count: ``_run_simplex``
-for one lane, ``_lockstep_simplex`` for several, where every pivot step is
-one numpy call over all live lanes.  Both take the same floating-point steps
-in the same order, so ``margin_lps`` matches ``margin_lp`` bit for bit.  One
-kernel for both costs too much: run as one lockstep lane, the certify
-cascade's LPs (certify-mix seed 1, one core of a 2-vCPU host, numpy 2.4)
-took a median 2.8x as long below 15,000 cells, for the fancy indexing of
-each step, and 5.8x above, where the lockstep kernel has no support-only
-update.
+dominates, so ``margin_lps`` hands it one lane per state; ``margin_lp`` is
+its one-state call.  Only the pivot loop comes in two kernels, chosen by the
+lane count: ``_run_simplex`` for one lane, ``_lockstep_simplex`` for
+several, where every pivot step is one numpy call over all live lanes.  Both
+take the same floating-point steps in the same order, so a state's margin in
+a scan has the bits of its ``margin_lp`` call.  One kernel for both costs
+too much: run as one lockstep lane, the certify cascade's LPs (certify-mix
+seed 1, one core of a 2-vCPU host, numpy 2.4) took a median 2.8x as long
+below 15,000 cells, for the fancy indexing of each step, and 5.8x above,
+where the lockstep kernel has no support-only update.
 """
 from __future__ import annotations
 
@@ -377,15 +377,12 @@ def margin_lp(psi_x: np.ndarray, delta_x: np.ndarray, input_set: InputSet,
     """
     psi_x = np.atleast_2d(np.asarray(psi_x, dtype=float))
     delta_x = np.atleast_1d(np.asarray(delta_x, dtype=float))
-    m = psi_x.shape[1]
-    lo, hi = input_set.bounds()
-    res = solve_lp(margin_problem(psi_x[None], delta_x[None], input_set, lo, hi),
-                   tol)
-    if res.status == "optimal":
-        return "optimal", float(res.z[m]), res.z[:m]
-    if res.status == "unbounded":
+    (t,), (u,) = margin_lps(psi_x[None], delta_x[None], input_set, tol)
+    if t == np.inf:
         return "unbounded", np.inf, None
-    return "infeasible", -np.inf, None
+    if t == -np.inf:
+        return "infeasible", -np.inf, None
+    return "optimal", float(t), u
 
 
 # States per lockstep solve in ``margin_lps``, which bounds its memory.  On
@@ -397,7 +394,8 @@ _LANES = 512
 
 def margin_lps(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
                tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """``margin_lp`` at K states at once: (t [K], U [K, m]), bit for bit.
+    """The margin LPs at K states at once: (t [K], U [K, m]), each with the
+    bits of its one-lane ``margin_lp`` call.
 
     ``psis`` is [K, p, m] and ``deltas`` [K, p].  t is +inf where the margin
     is unbounded and -inf where the input set is empty, with U nan there.

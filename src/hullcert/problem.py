@@ -89,20 +89,27 @@ class QuadFunc:
         return f"QuadFunc(n={self.n}, affine={self.is_affine()})"
 
 
-def _at_rows(q: QuadFunc, X: np.ndarray) -> np.ndarray:
-    """q at each row of a C-contiguous X [K, n], bit for bit as q(X[k]).
+def _coeff_arrays(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (Q [E, n, n], c [E, n], d [E]) of a sequence of entries."""
+    return (_ro([q.Q for q in entries]), _ro([q.c for q in entries]),
+            _ro([q.d for q in entries]))
 
-    The row-wise products keep the order in which ``QuadFunc.__call__``
-    sums; ``einsum`` and ``((X @ Q) * X).sum(1)`` sum in another order and
-    differ in the last bits.
-    """
-    rows, cols = X[:, None, :], X[:, :, None]
-    return (np.matmul(rows, q.Q) @ cols)[:, 0, 0] + (rows @ q.c)[:, 0] + q.d
+
+def _entries_at(coeffs, x) -> np.ndarray:
+    """Each entry of ``coeffs`` at one state x [n] -> [E], or at each row of
+    X [K, n] -> [K, E], with the bits of ``QuadFunc.__call__`` on a
+    contiguous copy of the state: the matmuls sum in its order, (x Q) x +
+    c x + d, where ``einsum`` or ``((X @ Q) * X).sum`` would not."""
+    Q, c, d = coeffs
+    X = np.ascontiguousarray(x, dtype=float)
+    rows, cols = X[..., None, None, :], X[..., None, :, None]
+    return (np.matmul(rows, Q) @ cols + rows @ c[:, :, None])[..., 0, 0] + d
 
 
 @dataclass(frozen=True)
 class AffineStack:
-    """Dense affine representation of a stacked map: Psi(x) = P0 + P1.x, delta(x) = D0 + D1 x."""
+    """Dense affine form Psi(x) = P0 + P1.x, delta(x) = D0 + D1 x: faster than
+    ``StackedMap``'s reads, with other last bits (see README)."""
 
     P0: np.ndarray  # [p, m]
     P1: np.ndarray  # [p, m, n]
@@ -138,53 +145,38 @@ class StackedMap:
         if m == 0 or any(len(row) != m for row in psi):
             raise ValueError("psi rows must share a common positive length")
         n = delta[0].n
-        for row in psi:
-            for q in row:
-                if q.n != n:
-                    raise ValueError("all entries must share the state dimension")
-        for q in delta:
-            if q.n != n:
-                raise ValueError("all entries must share the state dimension")
+        entries = [q for row in psi for q in row]
+        if any(q.n != n for q in entries + list(delta)):
+            raise ValueError("all entries must share the state dimension")
         self.psi = psi
         self.delta = delta
         self.n = n
         self.m = m
         self.p = len(psi)
+        self._psi = _coeff_arrays(entries)
+        self._delta = _coeff_arrays(delta)
 
     def psi_at(self, x) -> np.ndarray:
         """Psi at one state x [n] -> [p, m], or at each row of X [K, n] ->
-        [K, p, m] with the bits of the one-state calls."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            X = np.ascontiguousarray(x)
-            return np.stack([np.stack([_at_rows(q, X) for q in row], axis=1)
-                             for row in self.psi], axis=1)
-        return np.array([[q(x) for q in row] for row in self.psi])
+        [K, p, m]."""
+        vals = _entries_at(self._psi, x)
+        return vals.reshape(vals.shape[:-1] + (self.p, self.m))
 
     def delta_at(self, x) -> np.ndarray:
-        """delta at one state x [n] -> [p], or at each row of X [K, n] ->
-        [K, p] with the bits of the one-state calls."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            X = np.ascontiguousarray(x)
-            return np.stack([_at_rows(q, X) for q in self.delta], axis=1)
-        return np.array([q(x) for q in self.delta])
+        """delta at one state x [n] -> [p], or at each row of X [K, n] -> [K, p]."""
+        return _entries_at(self._delta, x)
 
     def eval(self, X) -> tuple[np.ndarray, np.ndarray]:
         """(Psi [K, p, m], delta [K, p]) at each row of X [K, n]."""
-        X = np.asarray(X, dtype=float)
         return self.psi_at(X), self.delta_at(X)
 
     def affine_arrays(self) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""
-        if not (all(q.is_affine() for row in self.psi for q in row)
-                and all(q.is_affine() for q in self.delta)):
+        (Qp, cp, dp), (Qd, cd, dd) = self._psi, self._delta
+        if (np.abs(Qp) > 1e-12).any() or (np.abs(Qd) > 1e-12).any():
             return None
-        P0 = np.array([[q.d for q in row] for row in self.psi])
-        P1 = np.array([[q.c for q in row] for row in self.psi])
-        D0 = np.array([q.d for q in self.delta])
-        D1 = np.array([q.c for q in self.delta])
-        return AffineStack(_ro(P0), _ro(P1), _ro(D0), _ro(D1))
+        return AffineStack(dp.reshape(self.p, self.m),
+                           cp.reshape(self.p, self.m, self.n), dd, cd)
 
     def to_dict(self) -> dict:
         return {
@@ -489,6 +481,8 @@ def dict_to_problem(data: dict, source_hash: str | None = None) -> Problem:
         u_des = DesiredInput.from_dict(data["u_des"]) if data.get("u_des") else None
     except KeyError as exc:
         raise ValueError(f"problem file is missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"problem file has a field of the wrong type: {exc}") from exc
     if stack.m != input_set.m:
         raise ValueError("input set dimension does not match the stacked map")
     if stack.n != hull.n:

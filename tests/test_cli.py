@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ import pytest
 import hullcert
 from hullcert import cases
 from hullcert.cli import main
-from hullcert.problem import Hull, InputSet, build_from_lti, save_problem
+from hullcert.problem import (Hull, InputSet, build_from_lti, problem_to_dict,
+                              save_problem)
 
 
 def _read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+REPORTS = Path(__file__).parent / "data" / "cli_reports"
 
 
 def _without_stamp(path):
@@ -106,6 +111,19 @@ def test_reports_are_deterministic_modulo_timestamp(tmp_path):
     assert _without_stamp(a / "scan.json") == _without_stamp(b / "scan.json")
 
 
+@pytest.mark.parametrize("command,problem", [
+    (c, p) for c in ("certify", "oracle", "explicit") for p in cases.CASE_NAMES
+] + [("simulate", "case3")])
+def test_reports_match_the_frozen_bytes(capsys, command, problem):
+    # stdout, stderr and exit code of each default run, recorded once
+    stem = f"{command}_{problem}"
+    rc = main([command, "--problem", problem])
+    cap = capsys.readouterr()
+    assert rc == json.loads((REPORTS / "exit_codes.json").read_text())[stem]
+    assert cap.out.encode() == (REPORTS / f"{stem}.stdout").read_bytes()
+    assert cap.err.encode() == (REPORTS / f"{stem}.stderr").read_bytes()
+
+
 def test_explicit_case3_writes_controller(tmp_path):
     out = tmp_path / "r"
     assert main(["explicit", "--problem", "case3", "--out", str(out)]) == 0
@@ -173,6 +191,21 @@ def test_a_top_level_json_array_is_an_input_error(tmp_path, capsys, command):
     assert main([command, "--problem", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load") and "JSON object" in err
+
+
+@pytest.mark.parametrize("fields", [{"input_set": {"box": [[-1], [1]]}},
+                                    {"psi": 5}],
+                         ids=["box-as-list", "psi-as-number"])
+@pytest.mark.parametrize("command", ["certify", "oracle", "explicit", "simulate"])
+def test_a_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, command,
+                                                     fields):
+    prob = cases.example1_problem()
+    data = problem_to_dict(prob.stack, prob.hull, prob.input_set)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**data, **fields}))
+    assert main([command, "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load") and "wrong type" in err
 
 
 def test_numerical_failure_is_inconclusive(tmp_path, capsys):

@@ -322,15 +322,17 @@ def test_margin_problem_layouts():
 
 def test_margin_lp_solves_the_single_state_layout(monkeypatch):
     lps = []
+    solve_lanes = optcore._solve_lanes
 
-    def spy(prob, tol=DEFAULT):
-        lps.append(prob)
-        return solve_lp(prob, tol)
+    def spy(c, A, b, lo, hi, tol):
+        (a_ineq,), (b_ineq,) = A, b  # one lane
+        lps.append(LpProblem(c, a_ineq, b_ineq, lo, hi))
+        return solve_lanes(c, A, b, lo, hi, tol)
 
     stack, hull, box = _varying_corridor(np.random.default_rng(2), 2, 2, 1.0)
     us = InputSet(box=box.box, polytope=(np.array([[1.0, 1.0]]), np.array([1.5])))
     psi, delta = stack.psi_at(hull.vertices[1]), stack.delta_at(hull.vertices[1])
-    monkeypatch.setattr(optcore, "solve_lp", spy)
+    monkeypatch.setattr(optcore, "_solve_lanes", spy)
     margin_lp(psi, delta, us)
     lo, hi = us.bounds()
     want = optcore.margin_problem(psi[None], delta[None], us, lo, hi)

@@ -93,6 +93,43 @@ def test_stacked_map_eval_stacks_the_entrywise_values():
         assert np.array_equal(delta, np.stack([st.delta_at(x) for x in X]))
 
 
+def _random_stack(rng, n, quadratic):
+    """p = 3 rows, m = 2 inputs."""
+    def entry():
+        Q = None
+        if quadratic:  # eigenvalues of both signs once n > 1
+            S = rng.normal(size=(n, n))
+            Q = S @ np.diag([(-1.0) ** i for i in range(n)]) @ S.T
+        return QuadFunc(Q=Q, c=rng.normal(size=n), d=rng.normal(), n=n)
+    return StackedMap([[entry() for _ in range(2)] for _ in range(3)],
+                      [entry() for _ in range(3)])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+@pytest.mark.parametrize("quadratic", [False, True], ids=["affine", "quadratic"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_stacked_map_reads_have_the_bits_of_quadfunc_calls(n, quadratic, layout):
+    rng = np.random.default_rng(10 * n + quadratic)
+    st = _random_stack(rng, n, quadratic)
+    X = rng.normal(size=(7, n))
+    if layout == "strided":
+        X = np.repeat(X, 2, axis=1)[:, ::2]
+    elif layout == "fortran":
+        X = np.asfortranarray(X)
+    # the reference: one QuadFunc.__call__ per entry on a contiguous copy
+    copies = [np.ascontiguousarray(x) for x in X]
+    psi = np.array([[[q(x) for q in row] for row in st.psi] for x in copies])
+    delta = np.array([[q(x) for q in st.delta] for x in copies])
+    got_psi, got_delta = st.eval(X)
+    assert got_psi.tobytes() == psi.tobytes()
+    assert got_delta.tobytes() == delta.tobytes()
+    assert st.psi_at(X).tobytes() == psi.tobytes()
+    assert st.delta_at(X).tobytes() == delta.tobytes()
+    for k, x in enumerate(X):
+        assert st.psi_at(x).tobytes() == psi[k].tobytes()
+        assert st.delta_at(x).tobytes() == delta[k].tobytes()
+
+
 def test_stacked_map_quadratic_has_no_affine_arrays():
     st = StackedMap([[QuadFunc(Q=[[1.0]])]], [QuadFunc(c=[1.0])])
     assert st.affine_arrays() is None
