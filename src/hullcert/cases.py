@@ -28,7 +28,7 @@ from .curvature import validate_problem
 from .explicit import partition_hull
 from .oracle import check_certificate, grid_scan, sample_hull
 from .problem import (DesiredInput, Hull, InputSet, Problem, QuadFunc,
-                      StackedMap, build_from_lti, save_problem)
+                      StackedMap, _row_margins, build_from_lti, save_problem)
 from .reporting import write_report
 from .sim import (AffineClipController, ConstantController, Dynamics,
                   ExplicitPwaController, QpFilterController, integrate)
@@ -147,7 +147,7 @@ def case1_reference_vertex_inputs() -> np.ndarray:
     hull = _room_hull()
     U = np.zeros((hull.N, 3))
     all_lo = np.flatnonzero(
-        np.all(np.isclose(hull.vertices, ROOM_LO), axis=1))[0]
+        np.all(np.isclose(hull.vertices, ROOM_LO, rtol=0), axis=1))[0]
     U[all_lo] = 0.78
     return U
 
@@ -294,9 +294,7 @@ def run_case_study(name: str, out_dir=None, seed: int = 7,
         bundle["scan"] = scan.to_dict()
         winning = out.certificate if out.valid else None
         witness = case2_reference_witness()
-        psis, deltas = stack.eval(hull.vertices)
-        wm = np.array([float((psi @ witness + delta).min())
-                       for psi, delta in zip(psis, deltas)])
+        wm = _row_margins(*stack.eval(hull.vertices), witness).min(axis=1)
         bundle["reference_witness"] = {"u": witness.tolist(),
                                        "vertex_margins": wm.tolist(),
                                        "min_margin": float(wm.min())}
@@ -311,9 +309,7 @@ def run_case_study(name: str, out_dir=None, seed: int = 7,
         bundle["blend"] = bj.to_dict()
         winning = bj.certificate if bj.valid else None
         ref = case3_reference_vertex_inputs()
-        psis, deltas = stack.eval(hull.vertices)
-        margins = np.array([float((psi @ u + delta).min())
-                            for psi, u, delta in zip(psis, ref, deltas)])
+        margins = _row_margins(*stack.eval(hull.vertices), ref).min(axis=1)
         bundle["reference_vertex_inputs"] = {
             "inputs": ref.tolist(), "margins": margins.tolist(),
             "pairwise_max": float(pairwise_check(stack, hull, ref))}

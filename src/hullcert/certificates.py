@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import A3Violated, sign_cone, uniform_column_sign
-from .optcore import LpProblem, margin_problem, solve_lp
-from .problem import Hull, InputSet, StackedMap
+from .optcore import LpProblem, _vertex_pairs, margin_problem, solve_lp
+from .problem import Hull, InputSet, StackedMap, _row_margins
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -143,12 +143,6 @@ class CertificateOutcome:
 # shared helpers
 
 
-def _vertex_margins(stack: StackedMap, hull: Hull, u: np.ndarray) -> np.ndarray:
-    """[N, p] row margins of a constant input at every hull vertex."""
-    psis, deltas = stack.eval(hull.vertices)
-    return psis @ u + deltas
-
-
 def _box_inside_input_set(input_set: InputSet, lo, hi, tol: Tolerances) -> bool:
     blo, bhi = input_set.bounds()
     if np.any(lo < blo - tol.feas) or np.any(hi > bhi + tol.feas):
@@ -201,12 +195,10 @@ def _solve_margin(method: str, stack: StackedMap, hull: Hull,
 def _pairwise_max(psis: np.ndarray, U: np.ndarray) -> float:
     """max over vertex pairs i<j and rows of (psi_r^i - psi_r^j).(u^i - u^j),
     from the stack evaluated at the vertices (``psis`` [N, p, m])."""
-    worst = -np.inf
-    for i in range(len(psis)):
-        for j in range(i + 1, len(psis)):
-            vals = (psis[i] - psis[j]) @ (U[i] - U[j])
-            worst = max(worst, float(vals.max()))
-    return worst if len(psis) > 1 else 0.0
+    if len(psis) <= 1:
+        return 0.0
+    i, j, D = _vertex_pairs(psis)
+    return float((D @ (U[i] - U[j])[:, :, None]).max())
 
 
 def pairwise_check(stack: StackedMap, hull: Hull,
@@ -257,8 +249,7 @@ def endpoint_rule(stack: StackedMap, hull: Hull, input_set: InputSet,
         return CertificateOutcome(
             "endpoint_rule", False,
             reason="endpoint input violates the polytope part of the input set")
-    margins = _vertex_margins(stack, hull, u)
-    worst = float(margins.min())
+    worst = float(_row_margins(*stack.eval(hull.vertices), u).min())
     if worst < -tol.feas:
         return CertificateOutcome("endpoint_rule", False, margin=worst,
                                   reason="endpoint input fails at a hull vertex")
@@ -343,7 +334,7 @@ def cpc_common(stack: StackedMap, hull: Hull, input_set: InputSet,
         return lp
     z, psis, deltas = lp
     u, t = z[:-1], float(z[-1])
-    worst = float((psis @ u + deltas).min())
+    worst = float(_row_margins(psis, deltas, u).min())
     if t < -tol.feas or worst < -tol.feas:
         return CertificateOutcome(
             "cpc_common", False, margin=t,
@@ -367,8 +358,7 @@ def cpc_blend_joint(stack: StackedMap, hull: Hull, input_set: InputSet,
         return lp
     z, psis, deltas = lp
     U, t = z[:-1].reshape(hull.N, stack.m), float(z[-1])
-    worst = min(float((psi @ u + delta).min())
-                for psi, u, delta in zip(psis, U, deltas))
+    worst = float(_row_margins(psis, deltas, U).min())
     pmax = _pairwise_max(psis, U)
     if t < -tol.feas or worst < -tol.feas or pmax > tol.feas:
         return CertificateOutcome(

@@ -101,8 +101,8 @@ def build_parser() -> _Parser:
 def _resolve_tol(args):
     for label in ("tol_feas", "tol_active"):
         v = getattr(args, label, None)
-        if v is not None and v <= 0:
-            raise UsageError(f"--{label.replace('_', '-')} must be positive")
+        if v is not None and not 0 < v < np.inf:
+            raise UsageError(f"--{label.replace('_', '-')} must be positive and finite")
     return DEFAULT.with_overrides(feas=getattr(args, "tol_feas", None),
                                   active=getattr(args, "tol_active", None))
 
@@ -131,10 +131,12 @@ def _digest(prob: Problem) -> str:
 def _setup(args) -> tuple:
     """(tol, problem, report header) shared by the report subcommands.
 
-    Tolerance flags are checked before the problem is loaded, so a bad flag
-    is reported even when the problem is unreadable too.
+    Tolerance and grid flags are checked before the problem is loaded, so a
+    bad flag is reported even when the problem is unreadable too.
     """
     tol = _resolve_tol(args)
+    if getattr(args, "grid", None) is not None and args.grid < 2:
+        raise UsageError("--grid must be at least 2")
     prob = _resolve_problem(args.problem)
     header = {"command": args.command, "problem": args.problem,
               "problem_sha256": _digest(prob), "tolerances": tol.to_dict()}

@@ -187,30 +187,24 @@ class ExplicitController:
 # problem validation and KKT law construction
 
 
-def assumption2_data(stack: StackedMap, hull: Hull, tol: Tolerances = DEFAULT):
+def assumption2_data(stack: StackedMap, hull: Hull):
     """Extract (psi_bar, d_mat, d0) or raise Assumption2Violated.
 
-    Needs every Psi entry affine and equal across the hull vertices (an
-    affine function constant on all vertices is constant on the hull), and
-    every delta row affine.
+    Needs the map affine by ``StackedMap.affine_arrays`` and Psi equal to
+    1e-10, absolute, across the hull vertices (an affine function constant
+    on all vertices is constant on the hull).
     """
-    for r in range(stack.p):
-        for k in range(stack.m):
-            if not stack.psi[r][k].is_affine(tol=tol.eig):
-                raise Assumption2Violated(
-                    f"Psi entry ({r},{k}) is not affine")
+    curved_psi, curved_delta = stack._curved()
+    if curved_psi.any():
+        r, k = np.argwhere(curved_psi)[0]
+        raise Assumption2Violated(f"Psi entry ({r},{k}) is not affine")
     psis = stack.psi_at(hull.vertices)
-    if not np.allclose(psis, psis[0], atol=1e-10):
+    if np.abs(psis - psis[0]).max() > 1e-10:
         raise Assumption2Violated("Psi varies across the hull vertices")
-    psi_bar = psis[0]
-    d_mat = np.zeros((stack.p, stack.n))
-    d0 = np.zeros(stack.p)
-    for r in range(stack.p):
-        try:
-            d_mat[r], d0[r] = stack.delta[r].affine_coeffs(tol.eig)
-        except ValueError as exc:
-            raise Assumption2Violated(f"delta row {r} is not affine") from exc
-    return psi_bar, d_mat, d0
+    aff = stack.affine_arrays()
+    if aff is None:
+        raise Assumption2Violated(f"delta row {np.argmax(curved_delta)} is not affine")
+    return psis[0], aff.D1, aff.D0
 
 
 def kkt_affine_law(psi_bar, d_mat, d0, G, b, u_gain, u0,
@@ -409,7 +403,7 @@ def partition_hull(stack: StackedMap, hull: Hull, input_set: InputSet,
     points and are dropped.  Any unverifiable candidate or uncovered seed
     raises UnresolvedRegion.
     """
-    psi_bar, d_mat, d0 = assumption2_data(stack, hull, tol)
+    psi_bar, d_mat, d0 = assumption2_data(stack, hull)
     m, n = stack.m, stack.n
     if u_des is None:
         u_des = DesiredInput(np.zeros((m, n)), np.zeros(m))

@@ -174,32 +174,31 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
 
 def _shift_bounds(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Rewrite x = off + M y with y >= 0 and carry A z <= b over to y.
+    """Rewrite each x_v = off_v + sum of sign[k] y_k over the columns k
+    with var[k] = v, y >= 0, and carry A z <= b over to y.
 
     A variable with a finite lower bound shifts to it, one with only an
     upper bound is mirrored at it, and a free variable splits into two
     columns; a variable with two finite bounds adds the row y_k <= hi - lo
     to every lane of A [K, rows, nv] and b [K, rows].  Returns (A2, b2,
-    off, M).
+    off, var, sign).
     """
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
     off = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
     width = np.where(has_lo | has_hi, 1, 2)
     first = width.cumsum() - width  # first column of each variable
-    ny = int(width.sum())
-    M = np.zeros((lo.shape[0], ny))
-    M[np.arange(lo.shape[0]), first] = np.where(has_lo | ~has_hi, 1.0, -1.0)
-    free = np.flatnonzero(width == 2)
-    M[free, first[free] + 1] = -1.0
+    var = np.repeat(np.arange(lo.shape[0]), width)
+    sign = np.where(has_lo | ~has_hi, 1.0, -1.0)[var]
+    sign[first[width == 2] + 1] = -1.0  # a free variable's second column
     boxed = np.flatnonzero(has_lo & has_hi)
     K, r = b.shape
-    A2 = np.zeros((K, r + boxed.size, ny))
-    A2[:, :r] = A @ M
+    A2 = np.zeros((K, r + boxed.size, var.size))
+    A2[:, :r] = A[:, :, var] * sign
     A2[:, r + np.arange(boxed.size), first[boxed]] = 1.0
     b2 = np.empty((K, r + boxed.size))
     b2[:, :r] = b - A @ off
     b2[:, r:] = hi[boxed] - lo[boxed]
-    return A2, b2, off, M
+    return A2, b2, off, var, sign
 
 
 def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
@@ -220,8 +219,8 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     if (lo > hi).any():
         return np.full(K, "infeasible", dtype=object), np.full((K, nv), np.nan), errors
 
-    A2, b2, off, M = _shift_bounds(A, b, lo, hi)
-    ny = M.shape[1]
+    A2, b2, off, var, sign = _shift_bounds(A, b, lo, hi)
+    ny = var.size
     m2 = b2.shape[1]
     ncols_real = ny + m2
     neg = b2 < 0
@@ -270,14 +269,15 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
 
     if live.any():
         cost2 = np.zeros(ncols_real + na)
-        cost2[:ny] = -(M.T @ c)
+        cost2[:ny] = -(c[var] * sign)
         unbounded = _simplex(T, basis, cost2, lanes[live], ncols_real, tol,
                              max_iter, errors)
         status[unbounded] = "unbounded"
         live[unbounded + list(errors)] = False
     y = np.zeros((K, ncols_real + na))
     y[lanes[:, None], basis] = T[:, :, -1]
-    X = np.where(live[:, None], off + y[:, :ny] @ M.T, np.nan)
+    X = np.where(live[:, None], off, np.nan)
+    np.add.at(X, (slice(None), var), y[:, :ny] * sign)
     # Guard against drift: the reported point must actually be feasible
     # (nan compares false, so lanes without a point pass).
     infeasible = ((A @ X[:, :, None])[:, :, 0] - b > 1e-7).any(axis=1)
@@ -319,6 +319,13 @@ def solve_lp(prob: LpProblem, tol: Tolerances = DEFAULT) -> LpResult:
     return LpResult("optimal", z=x, value=float(prob.c @ x), active_rows=active)
 
 
+def _vertex_pairs(psis: np.ndarray):
+    """(i, j, D) for the vertex pairs i < j in ``np.triu_indices`` order and
+    D = Psi_i - Psi_j [pairs, p, m]: the blend coupling rows' one table."""
+    i, j = np.triu_indices(len(psis), k=1)
+    return i, j, psis[i] - psis[j]
+
+
 def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
                    ulo: np.ndarray, uhi: np.ndarray,
                    per_vertex: bool = False) -> LpProblem:
@@ -328,8 +335,8 @@ def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
     ``psis`` is [N, p, m] and ``deltas`` [N, p].  Variables are (u, t), with
     one shared u, or (u^1, ..., u^N, t) with ``per_vertex``.  Rows come in
     this order: the N margin blocks [-Psi_j | 1] (with ``per_vertex``, -Psi_j
-    sits in the columns of u^j); with ``per_vertex`` and Psi not constant
-    across the states, the coupling rows (Psi_i - Psi_j)(u^i - u^j) <= 0 for
+    sits in the columns of u^j); with ``per_vertex`` and any Psi_j entry over
+    1e-13 from Psi_1's, the coupling rows (Psi_i - Psi_j)(u^i - u^j) <= 0 for
     each pair i < j, which make every barycentric blend of the u^j keep the
     worst margin; then the polytope rows [G | 0], once per input copy.
     """
@@ -344,15 +351,14 @@ def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
         block[:, -1] = 1.0
         rows.append(block)
         offs.append(deltas[j])
-    if per_vertex and not np.allclose(psis, psis[0], atol=1e-13):
-        for i in range(N):
-            for j in range(i + 1, N):
-                diff = psis[i] - psis[j]  # [p, m]
-                block = np.zeros((p, nv))
-                block[:, i * m:(i + 1) * m] = diff
-                block[:, j * m:(j + 1) * m] = -diff
-                rows.append(block)
-                offs.append(np.zeros(p))
+    if per_vertex and np.abs(psis - psis[0]).max() > 1e-13:
+        i, j, D = _vertex_pairs(psis)
+        block = np.zeros((i.size, p, nv))
+        per_u = block[:, :, :-1].reshape(i.size, p, N, m)  # a view, u^j by j
+        per_u[np.arange(i.size), :, i] = D
+        per_u[np.arange(i.size), :, j] = -D
+        rows.append(block.reshape(-1, nv))
+        offs.append(np.zeros(i.size * p))
     if input_set.polytope is not None:
         G, b = input_set.polytope
         for j in range(copies):

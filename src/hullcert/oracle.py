@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .optcore import margin_lp, margin_lps
-from .problem import Hull, InputSet, StackedMap
+from .problem import Hull, InputSet, StackedMap, _row_margins
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -217,8 +217,7 @@ def replay_margins(stack: StackedMap, X: np.ndarray, U: np.ndarray) -> np.ndarra
         delta = aff.delta_batch(X)  # [K, p]
         vals = np.einsum("kpm,km->kp", psi, U) + delta
         return vals.min(axis=1)
-    psi, delta = stack.eval(X)
-    return ((psi @ U[:, :, None])[:, :, 0] + delta).min(axis=1)
+    return _row_margins(*stack.eval(X), U).min(axis=1)
 
 
 def check_certificate(stack: StackedMap, hull: Hull, input_set: InputSet,
@@ -245,7 +244,7 @@ def check_certificate(stack: StackedMap, hull: Hull, input_set: InputSet,
     method = cert.method
     if method in ("cpc_interval", "endpoint_rule"):
         lo, hi = cert.lo, cert.hi
-        corners = [lo] if np.allclose(lo, hi, atol=0) else [
+        corners = [lo] if np.array_equal(lo, hi) else [
             np.where([(mask >> k) & 1 for k in range(m)], hi, lo)
             for mask in range(2 ** m)]
         witnesses = [np.broadcast_to(c, (K, m)) for c in corners]

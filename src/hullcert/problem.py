@@ -106,6 +106,12 @@ def _entries_at(coeffs, x) -> np.ndarray:
     return (np.matmul(rows, Q) @ cols + rows @ c[:, :, None])[..., 0, 0] + d
 
 
+def _row_margins(psis: np.ndarray, deltas: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """[K, p] row margins Psi u + delta at K evaluated states (``psis``
+    [K, p, m], ``deltas`` [K, p]) of one input U [m], or of U[k] at state k."""
+    return (psis @ U[..., None])[..., 0] + deltas
+
+
 @dataclass(frozen=True)
 class AffineStack:
     """Dense affine form Psi(x) = P0 + P1.x, delta(x) = D0 + D1 x: faster than
@@ -170,11 +176,17 @@ class StackedMap:
         """(Psi [K, p, m], delta [K, p]) at each row of X [K, n]."""
         return self.psi_at(X), self.delta_at(X)
 
+    def _curved(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the Psi [p, m] and delta [p] entries with some |Q| > 1e-12."""
+        psi, delta = ((np.abs(Q) > 1e-12).any(axis=(1, 2))
+                      for Q in (self._psi[0], self._delta[0]))
+        return psi.reshape(self.p, self.m), delta
+
     def affine_arrays(self) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""
-        (Qp, cp, dp), (Qd, cd, dd) = self._psi, self._delta
-        if (np.abs(Qp) > 1e-12).any() or (np.abs(Qd) > 1e-12).any():
+        if any(mask.any() for mask in self._curved()):
             return None
+        (_, cp, dp), (_, cd, dd) = self._psi, self._delta
         return AffineStack(dp.reshape(self.p, self.m),
                            cp.reshape(self.p, self.m, self.n), dd, cd)
 
@@ -218,10 +230,10 @@ class Hull:
             raise ValueError("hull needs a [N, n] vertex array")
         if not np.all(np.isfinite(V)):
             raise ValueError("hull vertices must be finite")
-        for i in range(V.shape[0]):
-            for j in range(i + 1, V.shape[0]):
-                if np.max(np.abs(V[i] - V[j])) <= 1e-12:
-                    raise ValueError(f"hull vertices {i} and {j} coincide")
+        for i in range(V.shape[0] - 1):
+            same = np.flatnonzero(np.abs(V[i + 1:] - V[i]).max(axis=1) <= 1e-12)
+            if same.size:
+                raise ValueError(f"hull vertices {i} and {i + 1 + same[0]} coincide")
         self.vertices = _ro(V)
         self.N = V.shape[0]
         self.n = V.shape[1]

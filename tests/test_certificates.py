@@ -11,6 +11,7 @@ from hullcert.certificates import (BlendCert, CommonCert, IntervalCert,
                                    cert_from_dict, certify, cpc_blend_joint,
                                    cpc_common, cpc_interval, endpoint_rule,
                                    pairwise_check)
+from hullcert.oracle import check_certificate, grid_scan
 from hullcert.problem import Hull, InputSet, QuadFunc, StackedMap
 
 
@@ -234,6 +235,27 @@ def test_blend_unbounded_margin_falls_back_to_feasibility():
     out = cpc_blend_joint(st, hull, free)
     assert out.valid
     assert out.margin >= -1e-9
+
+
+def test_blend_keeps_coupling_rows_when_psi_varies_slightly():
+    # every Psi entry moves across the hull by less than 1e-5 of its size,
+    # so a relative constancy test would drop the coupling rows, and the
+    # LP's vertex inputs would then fail the pairwise check
+    pd = [[-64.4, 19.8], [21.5, 34.8], [-59.2, -33.1]]
+    pc = [[-4e-5, -1.2e-4], [1.7e-4, -5e-5], [3e-5, -2.6e-5]]
+    psi = [[QuadFunc(c=[pc[r][k]], d=pd[r][k]) for k in range(2)]
+           for r in range(3)]
+    delta = [QuadFunc(c=[c], d=d) for c, d in zip([31.7, 26.4, 12.7],
+                                                   [-22.0, 0.5, 6.8])]
+    st = StackedMap(psi, delta)
+    hull = Hull([[0.0], [1.0]])
+    box = InputSet(box=(-np.ones(2), np.ones(2)))
+    out = cpc_blend_joint(st, hull, box)
+    assert out.valid, out.reason
+    assert out.detail["pairwise_max"] <= 0.0
+    scan = grid_scan(st, hull, box)
+    assert out.margin == pytest.approx(scan.min_margin, abs=1e-9)
+    assert check_certificate(st, hull, box, out.certificate)["ok"]
 
 
 def test_margin_certificates_need_inputs_in_the_sign_cone():

@@ -85,6 +85,25 @@ def test_nonpositive_tolerance_is_a_usage_error(capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--tol-feas", "--tol-active"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_tolerance_is_a_usage_error(capsys, flag, value):
+    # a nan or infinite slack would let every "< -tol" check pass, so the
+    # falsified example1 would come out certified
+    assert main(["certify", "--problem", "example1", f"{flag}={value}"]) == 1
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, problem", [("oracle", "case1"),
+                                              ("explicit", "case3")])
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_grid_below_two_is_a_usage_error(capsys, command, problem, grid):
+    assert main([command, "--problem", problem, "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert "error: --grid must be at least 2" in err
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 1
     assert "error:" in capsys.readouterr().err

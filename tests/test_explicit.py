@@ -219,6 +219,31 @@ def test_assumption_checks():
         partition_hull(p3.stack, p3.hull, p3.input_set, bad_des)
 
 
+def test_slowly_varying_psi_is_rejected():
+    # Psi moves by 1e-3 across the hull, 1e-5 of its size; a law built on
+    # Psi at the first vertex would violate row 0 by -5e-4 at x = 1
+    st = StackedMap(psi=[[QuadFunc(c=[-1e-3], d=100.0)], [QuadFunc(d=-1.0, n=1)]],
+                    delta=[QuadFunc(c=[-50.0], d=0.0), QuadFunc(d=5.0, n=1)])
+    hull = Hull([[0.0], [1.0]])
+    us = InputSet(box=(np.array([-10.0]), np.array([10.0])))
+    with pytest.raises(Assumption2Violated, match="Psi varies"):
+        partition_hull(st, hull, us, DesiredInput(np.zeros((1, 1)), np.zeros(1)))
+
+
+@pytest.mark.parametrize("psi_q, delta_q, match", [
+    (5e-11, 0.0, r"Psi entry \(0,0\) is not affine"),
+    (0.0, 5e-11, "delta row 0 is not affine")])
+def test_tiny_quadratic_terms_are_not_affine(psi_q, delta_q, match):
+    # the explicit filter reads the affine arrays, so a quadratic term it
+    # would drop must fail Assumption 2 instead
+    st = StackedMap(psi=[[QuadFunc(Q=[[psi_q]], d=1.0)]],
+                    delta=[QuadFunc(Q=[[delta_q]], d=1.0)])
+    hull = Hull([[0.0], [1.0]])
+    us = InputSet(box=(np.array([-1.0]), np.array([1.0])))
+    with pytest.raises(Assumption2Violated, match=match):
+        partition_hull(st, hull, us)
+
+
 def test_save_load_round_trip(tmp_path, case3_controller):
     prob, ctrl = case3_controller
     path = tmp_path / "explicit.json"

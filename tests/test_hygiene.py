@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, every private module-level
-name of the package is referenced somewhere in the package, and every
-parameter of a module-level package function is read in its body.
+name of the package is referenced somewhere in the package, every
+parameter of a module-level package function is read in its body, and
+every ``np.allclose``/``np.isclose`` call of the package states its ``rtol``.
 
 No linter ships with the project's dependencies, so this parses each module
 of the package and of the tests with ``ast`` and fails on any imported name
@@ -120,3 +121,25 @@ def test_finder_reports_an_unread_parameter():
                          ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def hidden_rtol_calls(source: str) -> list[str]:
+    """``np.allclose``/``np.isclose`` calls that leave ``rtol`` at numpy's
+    default of 1e-5, which silently loosens any ``atol`` on large values."""
+    return [f"line {node.lineno}: {node.func.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("allclose", "isclose") and len(node.args) < 3
+            and "rtol" not in {k.arg for k in node.keywords}]
+
+
+def test_finder_reports_a_hidden_rtol():
+    src = ("np.allclose(a, b, atol=0)\nnp.isclose(a, b, rtol=0)\n"
+           "np.allclose(a, b, 0.0)\nnp.isclose(a, b)\n")
+    assert hidden_rtol_calls(src) == ["line 1: allclose", "line 4: isclose"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "hullcert"],
+                         ids=lambda p: p.name)
+def test_closeness_tests_state_rtol(path):
+    assert hidden_rtol_calls(path.read_text()) == []

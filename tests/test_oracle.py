@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hullcert import DEFAULT, cases
-from hullcert.certificates import CommonCert, cpc_common, cpc_interval
+from hullcert.certificates import (CommonCert, IntervalCert, cpc_common,
+                                   cpc_interval)
 from hullcert.oracle import (check_certificate, grid_scan, pointwise_margin,
                              replay_margins, sample_hull)
-from hullcert.problem import Hull, QuadFunc, StackedMap
+from hullcert.problem import Hull, InputSet, QuadFunc, StackedMap
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +241,17 @@ def test_check_replays_interval_box_corners():
     assert out["ok"]
     # the floor corner touches zero at the all-cold vertex
     assert out["min_residual"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_check_replays_both_corners_of_a_nearly_flat_box():
+    # row 1 - u >= 0: the hi corner 1.000009 violates it by 9e-6, although
+    # lo and hi agree to numpy's default relative tolerance of 1e-5
+    hull = Hull([[0.0], [1.0]])
+    stack = StackedMap([[QuadFunc(d=-1.0, n=1)]], [QuadFunc(d=1.0, n=1)])
+    cert = IntervalCert(np.array([1.0]), np.array([1.000009]), 0.0)
+    out = check_certificate(stack, hull, InputSet(box=([0.0], [2.0])), cert)
+    assert not out["ok"]
+    assert out["min_residual"] == pytest.approx(-9e-6, rel=1e-6)
 
 
 def test_check_with_supplied_samples():

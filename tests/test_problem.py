@@ -145,6 +145,9 @@ def test_stacked_map_quadratic_has_no_affine_arrays():
 def test_hull_rejects_duplicate_vertices():
     with pytest.raises(ValueError):
         Hull([[0.0, 0.0], [0.0, 0.0]])
+    # the first coinciding pair in (i, j) order is the one reported
+    with pytest.raises(ValueError, match="hull vertices 0 and 2 coincide"):
+        Hull([[0.0], [1.0], [0.0], [1.0]])
 
 
 def test_hull_as_box_detection():
