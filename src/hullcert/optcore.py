@@ -1,4 +1,4 @@
-"""Dense LP and projection-QP solvers with exact active-set output.
+"""LP and projection-QP solvers with exact active-set output.
 
 Both solvers are deliberately self-contained: a two-phase tableau simplex with
 Bland's rule for linear programs, and a primal active-set method for the
@@ -11,19 +11,18 @@ one input per vertex) is laid out by ``margin_problem``: margin rows
 inputs when Psi varies, then the input polytope rows.  One layout means one
 row and column order, so Bland's rule pivots the same way for each caller.
 
-The simplex keeps a dense tableau.  Most LPs here are tiny, but the joint
-blend LP couples every pair of hull vertices and reaches thousands of rows and
-columns, while its normalised pivot row has only tens of nonzeros.  On
-tableaus above ``_SPARSE_PIVOT_CELLS`` the one-lane kernel therefore updates
-only the columns in the pivot row's support.  That is exact: each updated
-entry gets the same single product and subtraction as in the dense rank-1
-update, and each skipped entry would have had an exact zero subtracted from a
-finite value, so pivots, bases and results are unchanged (up to the sign of a
-zero).  Such a tableau is stored column-major, so each updated column is one
-contiguous run instead of a stride of one row per entry.  Smaller tableaus,
-and every lockstep pivot, keep the dense update, which costs one numpy call
-instead of one per column, on a row-major tableau.  The layout changes no
-bit: every entry gets the same operations either way.
+The simplex keeps a condensed tableau, the dictionary form (Chvatal,
+*Linear Programming*, 1983): a lane stores only its nonbasic columns and the
+right-hand side, one per array row, since a basic column is a unit column
+that no step reads.  ``labels`` holds each stored column's index in the full
+tableau, and Bland's rule compares labels, so every pivot and result is the
+full tableau's.  A pivot puts the leaving variable's unit column into the
+entering column's slot, then applies the full tableau's update to the stored
+columns: the one-lane kernel only to those in the pivot row's support (a
+skipped entry would have had an exact zero subtracted, which changes at most
+the sign of a zero), the lockstep kernel to all of them in one numpy call.
+The joint blend LP has thousands of rows with a slack in the basis, so it
+stores a small part of the full tableau.
 
 One two-phase routine, ``_solve_lanes``, solves K LPs that differ only in
 their rows: it builds the tableaus, runs phase one, pivots leftover
@@ -38,8 +37,8 @@ take the same floating-point steps in the same order, so a state's margin in
 a scan has the bits of its ``margin_lp`` call.  One kernel for both costs
 too much: run as one lockstep lane, the certify cascade's LPs (certify-mix
 seed 1, one core of a 2-vCPU host, numpy 2.4) took a median 2.8x as long
-below 15,000 cells, for the fancy indexing of each step, and 5.8x above,
-where the lockstep kernel has no support-only update.
+on small tableaus, for the fancy indexing of each step, and 5.8x on large
+ones, where the lockstep kernel has no support-only update.
 """
 from __future__ import annotations
 
@@ -111,65 +110,65 @@ class LpResult:
 # blows the tableau up to 1e21 and returns an infeasible point.
 _RATIO_EPS = 1e-9
 
-# One-lane tableaus with more cells than this are stored column-major and
-# update only the pivot row's support; lockstep lanes and smaller tableaus
-# are row-major and take the dense update.  Each column costs
-# one numpy call (a few us), so below this size the single dense rank-1
-# update is faster.  Measured on the certify cascade's LPs: dense
-# mostly wins up to 10,000 cells, they tie near 18,000, and from 19,000 cells
-# on the per-column update wins (about 3x at 100,000 cells, 6-9x on the
-# 1.3M-cell joint-blend tableaus).  Oracle scans stay under 200 cells and
-# closed-loop rollouts under 600, so they keep the dense update.
-_SPARSE_PIVOT_CELLS = 15_000
 
+def _pivot(T: np.ndarray, labels: np.ndarray, basis: np.ndarray, i: int, s: int):
+    """Pivot the condensed lane T [cols, rows] on row i and stored column s.
 
-def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int):
-    T[i] /= T[i, j]
-    col = T[:, j].copy()
-    col[i] = 0.0
-    row = T[i]
-    if T.size > _SPARSE_PIVOT_CELLS:
-        for k in np.flatnonzero(row):
-            T[:, k] -= row[k] * col
-    else:
-        T -= np.outer(col, row)
-    basis[i] = j
-
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                 allow_cols: int, tol: Tolerances, max_iter: int) -> str:
-    """Minimize cost over the tableau in place. Returns 'optimal' or 'unbounded'.
-
-    Entering and leaving variables follow Bland's rule (smallest index), which
-    rules out cycling.
+    The leaving variable's unit column takes slot s, then row i is divided
+    by the pivot and the rank-1 update runs over the stored columns in row
+    i's support: the full tableau's operations on every stored entry.
     """
-    ncols = T.shape[1] - 1
-    r = np.zeros(ncols + 1)
-    r[:cost.shape[0]] = cost
+    col = T[s].copy()
+    T[s] = 0.0
+    T[s, i] = 1.0
+    T[:, i] /= col[i]
+    col[i] = 0.0
+    row = T[:, i]
+    nz = row.nonzero()[0]
+    T[nz] -= np.multiply.outer(row[nz], col)
+    labels[s], basis[i] = basis[i], labels[s]
+
+
+def _run_simplex(T: np.ndarray, labels: np.ndarray, basis: np.ndarray,
+                 cost: np.ndarray, allow_cols: int, tol: Tolerances,
+                 max_iter: int) -> str:
+    """Minimize cost (indexed by label) over the condensed lane T in place.
+    Returns 'optimal' or 'unbounded'.
+
+    Entering and leaving variables follow Bland's rule (smallest label),
+    which rules out cycling.  Only labels below ``allow_cols`` may enter;
+    the others keep reduced cost +inf.
+    """
+    r = np.zeros(T.shape[0])
+    r[:-1] = np.where(labels < allow_cols, cost[labels], np.inf)
     # Basic columns are unit columns, so pricing out one basic variable
     # leaves the others' costs as they were: the rows to price are known
     # up front, and taking them in ascending order keeps the same steps.
-    for i in (r[basis] != 0.0).nonzero()[0]:
-        r -= r[basis[i]] * T[i]
+    f = cost[basis]
+    for i in (f != 0.0).nonzero()[0]:
+        r -= f[i] * T[:, i]
+    rhs = T[-1]
     for _ in range(max_iter):
-        cand = (r[:allow_cols] < -1e-9).nonzero()[0]
+        cand = (r[:-1] < -1e-9).nonzero()[0]
         if cand.size == 0:
             return "optimal"
-        j = int(cand[0])
-        col = T[:, j]
+        s = int(cand[labels[cand].argmin()] if cand.size > 1 else cand[0])
+        col = T[s]
         pos = (col > _RATIO_EPS).nonzero()[0]
         if not pos.size:
             return "unbounded"
-        ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
+        ratios = np.maximum(rhs[pos], 0.0) / col[pos]
         best = ratios.min()
         # Every other row's ratio counts as +inf: it ties only an overflowed
-        # best ratio, where the smallest basis index of all rows leaves.
+        # best ratio, where the smallest basis label of all rows leaves.
         ties = np.arange(col.size) if best == np.inf else pos[ratios <= best + 1e-12]
-        i = int(ties[np.argmin(basis[ties])])
-        if abs(T[i, j]) < tol.pivot:
+        i = int(ties[basis[ties].argmin()] if ties.size > 1 else ties[0])
+        if abs(col[i]) < tol.pivot:
             raise NumericalFailure("pivot magnitude below tolerance")
-        _pivot(T, basis, i, j)
-        r -= r[j] * T[i]
+        rs = r[s]
+        r[s] = 0.0 if basis[i] < allow_cols else np.inf
+        _pivot(T, labels, basis, i, s)
+        r -= rs * T[:, i]
     raise NumericalFailure("simplex iteration limit reached")
 
 
@@ -203,7 +202,7 @@ def _shift_bounds(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, tol: Tolerances):
-    """Two-phase dense simplex on K LPs that differ only in their rows:
+    """Two-phase simplex on K LPs that differ only in their rows:
     maximize c'z subject to A[k] z <= b[k] and lo <= z <= hi, for A
     [K, rows, nv] and b [K, rows].
 
@@ -211,8 +210,9 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     "infeasible" or "unbounded", X is nan where no optimum was found, and
     errors maps each lane that failed to its NumericalFailure.  A row that
     is negative in any lane gets an artificial column, in row order; lanes
-    where the row is not negative keep that column zero, and a zero column
-    never enters the basis, so each lane pivots as it would alone.
+    where the row is not negative store that column, zero, in place of the
+    row's slack, and a zero column never enters the basis, so each lane
+    pivots as it would alone.
     """
     K, _, nv = A.shape
     errors: dict[int, Exception] = {}
@@ -228,17 +228,19 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     art = has_art.nonzero()[0]
     na = art.size
     rows = np.arange(m2)
-    ncols = ncols_real + na + 1
-    # One large lane is pivoted column by column (see ``_pivot``), so it is
-    # stored column-major; other tableaus stay row-major.
-    T = np.zeros((K, m2, ncols),
-                 order="F" if K == 1 and m2 * ncols > _SPARSE_PIVOT_CELLS else "C")
-    T[:, :, :ny] = A2
-    T[:, rows, ny + rows] = 1.0
-    T[neg, :ncols_real] *= -1.0
-    b2[neg] *= -1.0
-    T[:, art, ncols_real + np.arange(na)] = neg[:, art]
-    T[:, :, -1] = b2
+    slots = ny + np.arange(na)
+    # Stored columns, one per array row: the structural columns, then per
+    # artificial row the row's slack (where the row is negative, negated,
+    # with its artificial basic) or else its zero artificial column, then
+    # the right-hand side.  Negative rows are negated.
+    T = np.zeros((K, ny + na + 1, m2))
+    T[:, :ny] = A2.transpose(0, 2, 1)
+    T[:, :ny] *= np.where(neg, -1.0, 1.0)[:, None, :]
+    T[:, slots, art] = np.where(neg[:, art], -1.0, 0.0)
+    T[:, -1] = np.where(neg, -b2, b2)
+    labels = np.empty((K, ny + na), dtype=np.intp)
+    labels[:, :ny] = np.arange(ny)
+    labels[:, ny:] = np.where(neg[:, art], ny + art, ncols_real + np.arange(na))
     basis = np.where(neg, ncols_real - 1 + has_art.cumsum(), ny + rows)
     max_iter = 200 + 50 * (m2 + ny)
     status = np.full(K, "optimal", dtype=object)
@@ -250,32 +252,31 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
         # never enters, and a lane without artificials is optimal at once.
         cost1 = np.zeros(ncols_real + na)
         cost1[ncols_real:] = 1.0
-        for k in _simplex(T, basis, cost1, lanes, ncols_real + na, tol, max_iter,
-                          errors):
+        for k in _simplex(T, labels, basis, cost1, lanes, ncols_real + na, tol,
+                          max_iter, errors):
             errors[k] = NumericalFailure("phase one cannot be unbounded")
-        obj1 = np.matmul(cost1[basis][:, None, :], T[:, :, -1:])[:, 0, 0]
+        obj1 = np.matmul(cost1[basis][:, None, :], T[:, -1, :, None])[:, 0, 0]
         live = obj1 <= 1e-8
         status[~live] = "infeasible"
         live[list(errors)] = False
-        # Pivot leftover artificials out of the basis where possible.
+        # Pivot leftover artificials out of the basis where possible, on the
+        # structural or slack column of smallest label.
         left = live[:, None] & (basis >= ncols_real)
         for i in left.any(axis=0).nonzero()[0]:
-            nz = np.abs(T[:, i, :ncols_real]) > 1e-9
-            sel = (left[:, i] & nz.any(axis=1)).nonzero()[0]
-            if sel.size:
-                Ts, Bs = T[sel], basis[sel]
-                _pivot_lanes(Ts, Bs, np.full(sel.size, i), nz[sel].argmax(axis=1))
-                T[sel], basis[sel] = Ts, Bs
+            nz = (np.abs(T[:, :-1, i]) > 1e-9) & (labels < ncols_real)
+            s = np.where(nz, labels, ncols_real).argmin(axis=1)
+            for k in (left[:, i] & nz.any(axis=1)).nonzero()[0]:
+                _pivot(T[k], labels[k], basis[k], i, s[k])
 
     if live.any():
         cost2 = np.zeros(ncols_real + na)
         cost2[:ny] = -(c[var] * sign)
-        unbounded = _simplex(T, basis, cost2, lanes[live], ncols_real, tol,
-                             max_iter, errors)
+        unbounded = _simplex(T, labels, basis, cost2, lanes[live], ncols_real,
+                             tol, max_iter, errors)
         status[unbounded] = "unbounded"
         live[unbounded + list(errors)] = False
     y = np.zeros((K, ncols_real + na))
-    y[lanes[:, None], basis] = T[:, :, -1]
+    y[lanes[:, None], basis] = T[:, -1]
     X = np.where(live[:, None], off, np.nan)
     np.add.at(X, (slice(None), var), y[:, :ny] * sign)
     # Guard against drift: the reported point must actually be feasible
@@ -289,17 +290,18 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     return status, X, errors
 
 
-def _simplex(T, basis, cost, lanes, allow_cols, tol, max_iter,
+def _simplex(T, labels, basis, cost, lanes, allow_cols, tol, max_iter,
              errors) -> list[int]:
     """Pivot the lanes T[lanes] to the optimum of ``cost``; returns the
     unbounded lanes and records failed lanes in ``errors``.  The lane count
     alone picks the kernel: ``_run_simplex`` for one, else the lockstep one.
     """
     if T.shape[0] > 1:
-        return _lockstep_simplex(T, basis, cost, lanes, allow_cols, tol,
+        return _lockstep_simplex(T, labels, basis, cost, lanes, allow_cols, tol,
                                  max_iter, errors)
     try:
-        if _run_simplex(T[0], basis[0], cost, allow_cols, tol, max_iter) == "unbounded":
+        if _run_simplex(T[0], labels[0], basis[0], cost, allow_cols, tol,
+                        max_iter) == "unbounded":
             return [0]
     except NumericalFailure as exc:
         errors[0] = exc
@@ -307,7 +309,9 @@ def _simplex(T, basis, cost, lanes, allow_cols, tol, max_iter,
 
 
 def solve_lp(prob: LpProblem, tol: Tolerances = DEFAULT) -> LpResult:
-    """Two-phase dense simplex. Reports optimum, infeasibility, or unboundedness."""
+    """Two-phase simplex with Bland's rule on a condensed tableau, which
+    stores only the nonbasic columns and the right-hand side.  Reports
+    optimum, infeasibility, or unboundedness."""
     A, b = prob.a_ineq, prob.b_ineq
     (status,), (x,), errors = _solve_lanes(prob.c, A[None], b[None], prob.lo,
                                            prob.hi, tol)
@@ -433,69 +437,89 @@ def margin_lps(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
     return t, U
 
 
-def _pivot_lanes(T: np.ndarray, basis: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """``_pivot``'s dense update on every lane of T [L, rows, cols] at its
-    own (i, j)."""
-    ar = np.arange(T.shape[0])
-    row = T[ar, i] / T[ar, i, j][:, None]
-    T[ar, i] = row
-    col = T[ar, :, j]
-    col[ar, i] = 0.0
-    T -= col[:, :, None] * row[:, None, :]
-    basis[ar, i] = j
-
-
-def _lockstep_simplex(T, basis, cost, lanes, allow_cols, tol, max_iter,
+def _lockstep_simplex(T, labels, basis, cost, lanes, allow_cols, tol, max_iter,
                       errors) -> list[int]:
     """``_run_simplex`` on the lanes T[lanes], pivoting them together.
 
     Returns the lanes that came out unbounded and records failed lanes in
-    ``errors``; T and basis of every lane end as _run_simplex leaves them.
-    While every lane is live the loop works on T itself; each time lanes
-    finish, the live ones move to a smaller copy.
+    ``errors``; T, labels and basis of every lane end as _run_simplex leaves
+    them.  While every lane is live the loop works on T itself; each time
+    lanes finish, the live ones move to a smaller copy, and lanes left
+    without an entering candidate leave before the ratio test.  Each pivot
+    is ``_pivot``'s, with the rank-1 update over every stored column.
     """
     whole = lanes.size == T.shape[0]
-    Tw, Bw = (T, basis) if whole else (T[lanes], basis[lanes])
-    L, m2, C = Tw.shape
+    Tw, Lw, Bw = (T, labels, basis) if whole else (T[lanes], labels[lanes], basis[lanes])
+    L, C, m2 = Tw.shape
+    nlab = C - 1 + m2  # above every label
     ar = np.arange(L)
     r = np.zeros((L, C))
-    r[:, :cost.shape[0]] = cost
-    for i in range(m2):
-        f = r[ar, Bw[:, i]]
-        hit = f != 0.0
-        r[hit] -= f[hit, None] * Tw[hit, i]
+    r[:, :-1] = np.where(Lw < allow_cols, cost[Lw], np.inf)
+    f = cost[Bw]
+    for i in (f != 0.0).any(axis=0).nonzero()[0]:
+        r -= np.where(f[:, i, None] != 0.0, f[:, i, None] * Tw[:, :, i], 0.0)
+    # a label that may not enter can leave only if one is basic now
+    guard = bool((Bw >= allow_cols).any())
     unbounded: list[int] = []
+
+    def keep_only(go, *arrays):
+        """Write the finished lanes (not go) back to T, labels and basis,
+        and keep the live ones in each of ``arrays``."""
+        nonlocal whole
+        if not whole:
+            done = (~go).nonzero()[0]
+            gone = lanes[done]
+            T[gone], labels[gone], basis[gone] = Tw[done], Lw[done], Bw[done]
+        whole = False
+        keep = go.nonzero()[0]
+        return [a[keep] for a in arrays]
+
     for _ in range(max_iter):
-        cand = r[:, :allow_cols] < -1e-9
-        j = cand.argmax(axis=1)
-        col = Tw[ar, :, j]
-        pos = col > _RATIO_EPS
-        ratios = np.where(pos, np.maximum(Tw[:, :, -1], 0.0) / np.where(pos, col, 1.0),
-                          np.inf)
-        best = ratios.min(axis=1)
-        # Bland's leaving row: smallest basis index among the ratio ties
-        i = np.where(ratios <= best[:, None] + 1e-12, Bw, C).argmin(axis=1)
-        has, bounded = cand.any(axis=1), pos.any(axis=1)
-        small = np.abs(Tw[ar, i, j]) < tol.pivot
-        go = has & bounded & ~small
-        if not go.all():
-            unbounded += lanes[has & ~bounded].tolist()
-            for k in lanes[has & bounded & small]:
-                errors[int(k)] = NumericalFailure("pivot magnitude below tolerance")
-            if not whole:
-                T[lanes[~go]], basis[lanes[~go]] = Tw[~go], Bw[~go]
-            whole = False
-            Tw, Bw, r, lanes, i, j = (a[go] for a in (Tw, Bw, r, lanes, i, j))
+        cand = r[:, :-1] < -1e-9
+        has = cand.any(axis=1)
+        if not has.all():  # lanes without a candidate are optimal
+            Tw, Lw, Bw, r, lanes, cand = keep_only(has, Tw, Lw, Bw, r, lanes, cand)
             if not lanes.size:
                 return unbounded
             ar = np.arange(lanes.size)
-        _pivot_lanes(Tw, Bw, i, j)
-        r -= r[ar, j][:, None] * Tw[ar, i]
+        j = np.where(cand, Lw, nlab).argmin(axis=1)
+        col = Tw[ar, j]
+        pos = col > _RATIO_EPS
+        ratios = np.divide(np.maximum(Tw[:, -1], 0.0), col, where=pos,
+                           out=np.full(col.shape, np.inf))
+        best = ratios.min(axis=1)
+        # Bland's leaving row: smallest basis label among the ratio ties
+        i = np.where(ratios <= best[:, None] + 1e-12, Bw, nlab).argmin(axis=1)
+        piv = col[ar, i]
+        bounded = pos.any(axis=1)
+        small = np.abs(piv) < tol.pivot
+        go = bounded & ~small
+        if not go.all():
+            unbounded += lanes[~bounded].tolist()
+            for k in lanes[bounded & small]:
+                errors[int(k)] = NumericalFailure("pivot magnitude below tolerance")
+            Tw, Lw, Bw, r, lanes, i, j, col, piv = keep_only(
+                go, Tw, Lw, Bw, r, lanes, i, j, col, piv)
+            if not lanes.size:
+                return unbounded
+            ar = np.arange(lanes.size)
+        rj = r[ar, j]
+        r[ar, j] = np.where(Bw[ar, i] < allow_cols, 0.0, np.inf) if guard else 0.0
+        Tw[ar, j] = 0.0
+        Tw[ar, j, i] = 1.0
+        row = Tw[ar, :, i] / piv[:, None]
+        Tw[ar, :, i] = row
+        col[ar, i] = 0.0
+        # the outer products, each entry one rounded product as in a broadcast
+        # multiply, which is slower on lanes this narrow
+        Tw -= np.einsum("lc,lr->lcr", row, col)
+        r -= rj[:, None] * row
+        Lw[ar, j], Bw[ar, i] = Bw[ar, i], Lw[ar, j]
     else:
         for k in lanes:
             errors[int(k)] = NumericalFailure("simplex iteration limit reached")
     if not whole:
-        T[lanes], basis[lanes] = Tw, Bw
+        T[lanes], labels[lanes], basis[lanes] = Tw, Lw, Bw
     return unbounded
 
 

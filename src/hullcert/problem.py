@@ -504,6 +504,14 @@ def dict_to_problem(data: dict, source_hash: str | None = None) -> Problem:
     declared_p = data.get("p")
     if declared_p is not None and declared_p != stack.p:
         raise ValueError(f"declared p={declared_p} but {stack.p} rows were parsed")
+    # every LP and QP of the package reads the stack at or between the
+    # vertices, so an overflow there has to stop the load
+    with np.errstate(over="ignore", invalid="ignore"):
+        psis, deltas = stack.eval(hull.vertices)
+    bad = ~(np.isfinite(psis).all(axis=(1, 2)) & np.isfinite(deltas).all(axis=1))
+    if bad.any():
+        raise ValueError("the stacked map is not finite at hull vertex "
+                         f"{hull.vertices[bad.argmax()].tolist()}")
     return Problem(stack, hull, input_set, u_des=u_des, lti=lti,
                    source_hash=source_hash)
 

@@ -227,6 +227,22 @@ def test_a_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, command,
     assert err.startswith("error: cannot load") and "wrong type" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "oracle"])
+def test_a_stack_that_overflows_at_a_vertex_is_an_input_error(tmp_path, capsys,
+                                                              command):
+    # 1e308 x at x = 3 overflows, which the LP builder used to meet first,
+    # raising ValueError out of main
+    prob = cases.example1_problem()
+    data = problem_to_dict(prob.stack, prob.hull, prob.input_set)
+    data["psi"][0][0]["c"] = [1e308]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load") and "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_is_inconclusive(tmp_path, capsys):
     # an input box of +-1e300: the oracle's margin LPs return points that
     # fail the drift guard, while the certify cascade reports no certificate

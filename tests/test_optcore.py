@@ -147,37 +147,49 @@ def test_lp_result_respects_constraints():
 # LP: pivot update and ratio test on joint-blend sized tableaus
 
 
-def _random_tableau(rng, rows, cols, row_nnz):
-    """Tableau with zeros scattered through it and a sparse pivot row."""
-    T = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+def _random_full_tableau(rng, rows, cols, row_nnz):
+    """Full tableau [rows, cols + 1] with a unit column per basic label,
+    zeros scattered through the nonbasic columns, a sparse row i with a
+    positive entry in nonbasic column j, and a positive right-hand side."""
+    labels = rng.permutation(cols)
+    basis, nonbasic = labels[:rows], np.sort(labels[rows:])
+    T = np.zeros((rows, cols + 1))
+    T[np.arange(rows), basis] = 1.0
+    T[:, nonbasic] = np.where(rng.random((rows, nonbasic.size)) < 0.3,
+                              rng.normal(size=(rows, nonbasic.size)), 0.0)
+    T[:, -1] = rng.uniform(0.0, 2.0, rows)
     i = int(rng.integers(rows))
-    T[i] = 0.0
-    T[i, rng.choice(cols, row_nnz, replace=False)] = rng.normal(size=row_nnz)
-    j = int(rng.choice(np.flatnonzero(T[i])))
-    return T, i, j
+    T[i, nonbasic] = 0.0
+    T[i, rng.choice(nonbasic, min(row_nnz, nonbasic.size), replace=False)] = (
+        rng.normal(size=min(row_nnz, nonbasic.size)))
+    j = int(rng.choice(nonbasic))
+    T[i, j] = rng.uniform(0.1, 2.0)
+    return T, basis, nonbasic, i, j
 
 
 @pytest.mark.parametrize("rows,cols", [(8, 12), (30, 40), (150, 160), (300, 330)])
-def test_sparse_pivot_equals_dense_rank_one_update(rows, cols):
+def test_condensed_pivot_equals_the_full_rank_one_update(rows, cols):
     rng = np.random.default_rng(rows)
     for _ in range(20):
-        T, i, j = _random_tableau(rng, rows, cols, int(rng.integers(1, 12)))
-        # the dense rank-1 update, written out
+        T, basis, nonbasic, i, j = _random_full_tableau(rng, rows, cols,
+                                                        int(rng.integers(1, 12)))
+        # the full tableau's rank-1 update, written out
         ref = T.copy()
         ref[i] /= ref[i, j]
         col = ref[:, j].copy()
         col[i] = 0.0
         ref -= np.outer(col, ref[i])
-        got, basis = T.copy(), np.zeros(rows, dtype=int)
-        optcore._pivot(got, basis, i, j)
-        assert np.array_equal(got, ref)
-        assert basis[i] == j
-        # solve_lp stores large tableaus column-major: same bits either way
-        col_major = np.asfortranarray(T)
-        optcore._pivot(col_major, basis, i, j)
-        assert np.array_equal(_bits(col_major), _bits(got))
-    # the first two sizes take the dense update, the last two the sparse one
-    assert (rows * cols > optcore._SPARSE_PIVOT_CELLS) == (rows >= 150)
+        # the condensed lane: nonbasic columns in shuffled slots, then the
+        # right-hand side, one stored column per array row
+        labels = rng.permutation(nonbasic)
+        lane = np.vstack([T[:, labels].T, T[:, -1]])
+        got_basis = basis.copy()
+        s = int(np.flatnonzero(labels == j)[0])
+        optcore._pivot(lane, labels, got_basis, i, s)
+        assert labels[s] == basis[i] and got_basis[i] == j
+        assert np.array_equal(_bits(lane[:-1]), _bits(ref[:, labels].T))
+        assert np.array_equal(_bits(lane[-1]), _bits(ref[:, -1]))
+        assert np.array_equal(ref[:, j], np.eye(rows)[i])
 
 
 def test_lp_ratio_test_skips_roundoff_entries():
@@ -259,37 +271,6 @@ def test_tail_size_joint_blend_lp_matches_the_frozen_bits():
     assert np.array_equal(_bits(res.z), _bits(data["z"]))
     assert _bits(res.value) == _bits(data["value"])
     assert res.active_rows == tuple(data["active_rows"])
-
-
-def test_tableau_layout_follows_the_pivot_kernel(monkeypatch):
-    # one lane above _SPARSE_PIVOT_CELLS is column-major, for its per-column
-    # update; smaller lanes are row-major, for the dense update
-    seen = []
-    run = optcore._run_simplex
-
-    def spy(T, *args):
-        seen.append((T.size > optcore._SPARSE_PIVOT_CELLS, T.flags.f_contiguous,
-                     T.flags.c_contiguous))
-        return run(T, *args)
-
-    monkeypatch.setattr(optcore, "_run_simplex", spy)
-    solve_lp(_tail_blend_lp())
-    solve_lp(LpProblem.maximize([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0],
-                                [1.0, 1.0]))
-    assert {large for large, _, _ in seen} == {True, False}
-    assert all(f == large and c != large for large, f, c in seen)
-    # lockstep tableaus stay row-major at any size
-    row_major = []
-    lockstep = optcore._lockstep_simplex
-
-    def spy_lanes(T, *args):
-        row_major.append(T.flags.c_contiguous)
-        return lockstep(T, *args)
-
-    monkeypatch.setattr(optcore, "_lockstep_simplex", spy_lanes)
-    monkeypatch.setattr(optcore, "_SPARSE_PIVOT_CELLS", 0)
-    optcore.margin_lps(*_lockstep_case(1, 2, 3, "box", K=4))
-    assert row_major and all(row_major)
 
 
 # --------------------------------------------------------------------------
@@ -432,10 +413,9 @@ def test_margin_lps_equal_margin_lp_bit_for_bit(seed, m, p, kind):
 
 
 def test_margin_lps_chunks_and_sparse_pivots_keep_the_bits(monkeypatch):
-    # several lockstep solves per call, and solve_lp's support-only pivot
-    # on every tableau (the margin LPs here are far below its usual size)
+    # several lockstep solves per call, against margin_lp's one-lane
+    # kernel, which updates only the pivot row's support
     monkeypatch.setattr(optcore, "_LANES", 7)
-    monkeypatch.setattr(optcore, "_SPARSE_PIVOT_CELLS", 0)
     for seed, kind in enumerate(["box", "box+rows", "rows"]):
         _assert_lanes_match_margin_lp(*_lockstep_case(seed, 2, 5, kind, K=30))
 
