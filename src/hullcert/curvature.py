@@ -136,17 +136,17 @@ def concavity_witness(stack: StackedMap, u, hull: Hull, trials: int = 1000,
     V = hull.vertices
     if hull.N == 1:
         return 0.0
-    phi_vertices = np.array([stack.psi_at(v) @ u for v in V])  # [N, p]
-    worst = -np.inf
-    for _ in range(trials):
+    draws, x_mix = [], np.empty((trials, hull.n))
+    for t in range(trials):
         k = int(rng.integers(2, hull.N + 1))
         idx = rng.choice(hull.N, size=k, replace=False)
         lam = rng.dirichlet(np.ones(k))
-        x_mix = lam @ V[idx]
-        mixed = stack.psi_at(x_mix) @ u
-        viol = float(np.max(lam @ phi_vertices[idx] - mixed))
-        worst = max(worst, viol)
-    return worst
+        x_mix[t] = lam @ V[idx]
+        draws.append((idx, lam))
+    phi_vertices = stack.psi_at(V) @ u  # [N, p]
+    mixed = stack.psi_at(x_mix) @ u  # [trials, p]
+    return max((float(np.max(lam @ phi_vertices[idx] - mix))
+                for (idx, lam), mix in zip(draws, mixed)), default=-np.inf)
 
 
 @dataclass

@@ -42,7 +42,8 @@ ones, where the lockstep kernel has no support-only update.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -542,6 +543,8 @@ class QpSolution:
     iterations: int
     weakly_active_cbf: tuple[int, ...] = ()
     weakly_active_input: tuple[int, ...] = ()
+    # active rows (p + i for input row i) with multiplier > tol.active
+    _strong_rows: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
 
 def _independent_subset(C: np.ndarray, rows: list[int]) -> list[int]:
@@ -651,30 +654,31 @@ def solve_qp_projection(u_des, psi_x, delta_x, input_set: InputSet,
         raise NumericalFailure("stationarity residual above tolerance")
     if np.min(resid) < -tol.feas:
         raise NumericalFailure("QP result violates a constraint")
-    comp = np.concatenate([lam, nu]) * resid
+    comp = mults * resid
     if np.max(np.abs(comp)) > 1e-6:
         raise NumericalFailure("complementary slackness violated")
     np.clip(lam, 0.0, None, out=lam)
     np.clip(nu, 0.0, None, out=nu)
 
-    return _qp_solution(u, u_des, resid, lam, nu, p, tol, iterations)
+    return _qp_solution(u, u_des, resid, mults, p, tol, iterations)
 
 
-def _qp_solution(u, u_des, resid, lam, nu, p: int, tol: Tolerances,
+def _qp_solution(u, u_des, resid, mults, p: int, tol: Tolerances,
                  iterations: int) -> QpSolution:
-    """Package a KKT point: rows with residual at most tol.active are
-    active, and active rows whose multiplier is that small are weakly
-    active."""
-    act = np.flatnonzero(resid <= tol.active)
-    mults = np.concatenate([lam, nu])
-    active_cbf = tuple(int(i) for i in act if i < p)
-    active_input = tuple(int(i) - p for i in act if i >= p)
-    weak_cbf = tuple(i for i in active_cbf if mults[i] <= tol.active)
-    weak_inp = tuple(i for i in active_input if mults[p + i] <= tol.active)
+    """Package a KKT point with multipliers ``mults`` = [lam, nu]: rows with
+    residual at most tol.active are active, active rows whose multiplier is
+    that small are weakly active, and the others are the strong rows."""
+    act = (resid <= tol.active).nonzero()[0].tolist()
+    small = (mults <= tol.active).tolist()
+    weak = [i for i in act if small[i]]
+    k, kw = bisect_left(act, p), bisect_left(weak, p)
+    step = u - u_des
     return QpSolution(
-        u=u, active_cbf=active_cbf, active_input=active_input, lam=lam, nu=nu,
-        value=float(0.5 * np.dot(u - u_des, u - u_des)), iterations=iterations,
-        weakly_active_cbf=weak_cbf, weakly_active_input=weak_inp)
+        u=u, active_cbf=tuple(act[:k]), active_input=tuple([i - p for i in act[k:]]),
+        lam=mults[:p], nu=mults[p:], value=float(0.5 * np.dot(step, step)),
+        iterations=iterations, weakly_active_cbf=tuple(weak[:kw]),
+        weakly_active_input=tuple([i - p for i in weak[kw:]]),
+        _strong_rows=tuple([i for i in act if not small[i]]))
 
 
 class WarmQp:
@@ -693,15 +697,16 @@ class WarmQp:
         self.hints = hints
         self._last_rows: tuple[int, ...] = ()
         self._last_u: np.ndarray | None = None
-        self._G, self._b = input_set.to_polytope()
+        G, b = input_set.to_polytope()
+        self._neg_G, self._neg_b = -G, -b
 
     def solve(self, u_des, psi_x, delta_x) -> QpSolution:
         u_des = np.atleast_1d(np.asarray(u_des, dtype=float))
         psi_x = np.atleast_2d(np.asarray(psi_x, dtype=float))
         delta_x = np.atleast_1d(np.asarray(delta_x, dtype=float))
-        p, m = psi_x.shape
-        C = np.vstack([psi_x, -self._G])
-        d = np.concatenate([-delta_x, -self._b])
+        p = psi_x.shape[0]
+        C = np.concatenate([psi_x, self._neg_G])
+        d = np.concatenate([-delta_x, self._neg_b])
         sol = None
         if self._last_rows:
             W = list(self._last_rows)
@@ -717,23 +722,19 @@ class WarmQp:
                 if resid.min() >= -self.tol.feas:
                     mults = np.zeros(C.shape[0])
                     mults[W] = alpha
-                    sol = _qp_solution(u, u_des, resid, mults[:p], mults[p:],
-                                       p, self.tol, 0)
+                    sol = _qp_solution(u, u_des, resid, mults, p, self.tol, 0)
         else:
             # Empty working set: the unconstrained optimum may just be feasible.
             resid = C @ u_des - d
             if resid.min() >= -self.tol.feas:
-                sol = _qp_solution(u_des.copy(), u_des, resid, np.zeros(p),
-                                   np.zeros(self._G.shape[0]), p, self.tol, 0)
+                sol = _qp_solution(u_des.copy(), u_des, resid,
+                                   np.zeros(C.shape[0]), p, self.tol, 0)
         if sol is None:
             sol = solve_qp_projection(
                 u_des, psi_x, delta_x, self.input_set, tol=self.tol,
                 start=self._last_u, feasible_hints=self.hints)
-        # Remember only rows with strictly positive multipliers; weakly active
-        # rows would poison the next warm solve with a singular working set.
-        mults = np.concatenate([sol.lam, sol.nu])
-        rows = [i for i in sol.active_cbf if mults[i] > self.tol.active]
-        rows += [p + i for i in sol.active_input if mults[p + i] > self.tol.active]
-        self._last_rows = tuple(rows)
+        # Strong rows only: weakly active rows would poison the next warm
+        # solve with a singular working set.
+        self._last_rows = sol._strong_rows
         self._last_u = sol.u
         return sol

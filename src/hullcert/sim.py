@@ -153,15 +153,12 @@ def integrate(dyn: Dynamics, controller, x0, T: float, dt: float,
         h_mat = np.array([a for a, _ in rows])
         h_off = np.array([b for _, b in rows])
 
-    times = np.empty(steps + 1)
     states = np.empty((steps + 1, n))
     inputs = np.zeros((steps + 1, m))
     hvals = np.empty((steps + 1, len(rows))) if rows else None
     status: list[str] = []
-    times[0] = 0.0
     states[0] = x
-    if rows:
-        hvals[0] = h_mat @ x + h_off
+    half, sixth = 0.5 * dt, dt / 6.0
     completed = True
     note = ""
     for k in range(steps):
@@ -175,21 +172,22 @@ def integrate(dyn: Dynamics, controller, x0, T: float, dt: float,
         status.append(getattr(controller, "status", "ok"))
         M, cvec = dyn.held_affine(u)
         k1 = M @ x + cvec
-        k2 = M @ (x + 0.5 * dt * k1) + cvec
-        k3 = M @ (x + 0.5 * dt * k2) + cvec
+        k2 = M @ (x + half * k1) + cvec
+        k3 = M @ (x + half * k2) + cvec
         k4 = M @ (x + dt * k3) + cvec
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         inputs[k] = u
-        times[k + 1] = (k + 1) * dt
         states[k + 1] = x
-        if rows:
-            hvals[k + 1] = h_mat @ x + h_off
     done = len(status)  # steps actually integrated; rows filled to index done
     status.append("failed" if not completed
                   else (status[-1] if status else "ok"))
     inputs[done] = inputs[max(done - 1, 0)]
     end = done + 1
-    return Trajectory(times=times[:end], states=states[:end],
+    if rows:
+        # one gemv per state, the bits of h_mat @ x; states @ h_mat.T differs
+        np.matmul(h_mat, states[:end, :, None], out=hvals[:end, :, None])
+        hvals[:end] += h_off
+    return Trajectory(times=np.arange(end) * dt, states=states[:end],
                       inputs=inputs[:end],
                       h_values=None if hvals is None else hvals[:end],
                       status=status, completed=completed, note=note)

@@ -100,6 +100,19 @@ def test_concavity_witness_on_fixtures():
             assert w <= 1e-9
 
 
+def test_concavity_witness_keeps_its_bits():
+    # values recorded from one psi_at call per vertex and per trial; the
+    # batched reads must leave every bit of the maximum unchanged
+    pinned = {"example1": ([5.0], "0x1.0000000000000p-50"),
+              "case2": ([0.95, 0.95, 0.95], "0x1.c000000000000p-50"),
+              "case3": ([0.5], "0x1.8000000000000p-53")}
+    for name, (u, want) in pinned.items():
+        prob = cases.get_problem(name)
+        w = concavity_witness(prob.stack, np.array(u), prob.hull, trials=1000,
+                              seed=0)
+        assert w.hex() == want, name
+
+
 def test_concavity_witness_rejects_cone_violation():
     q = QuadFunc(Q=[[-1.0]])
     st = StackedMap([[q]], [QuadFunc(c=[0.0], d=0.0, n=1)])

@@ -73,9 +73,10 @@ def test_lp_degenerate_cycling_guard():
 def test_lp_outputs_match_the_frozen_bits():
     # solve_lp inputs and outputs saved from the scalar two-phase simplex:
     # every LP that certify makes on example1, case2 and case3 (case1
-    # certifies by the endpoint rule, without an LP), one joint-blend LP
-    # above _SPARSE_PIVOT_CELLS, and one LP each with bounds only, free and
-    # one-sided variables, a phase one, no feasible point and no optimum
+    # certifies by the endpoint rule, without an LP), one 288-row
+    # joint-blend LP of an n=3, m=2 corridor, and one LP each with bounds
+    # only, free and one-sided variables, a phase one, no feasible point
+    # and no optimum
     data = np.load(Path(__file__).parent / "data" / "solve_lp_frozen.npz")
     for k in range(int(data["count"])):
         prob = LpProblem.maximize(*(data[f"{k}_{f}"]
