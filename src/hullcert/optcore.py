@@ -1,7 +1,7 @@
 """LP and projection-QP solvers with exact active-set output.
 
-Both solvers are deliberately self-contained: a two-phase tableau simplex with
-Bland's rule for linear programs, and a primal active-set method for the
+Both solvers are deliberately self-contained: a tableau simplex with Bland's
+rule for linear programs, and a primal active-set method for the
 identity-Hessian projection QP.  Pivot order is reproducible.
 
 Every margin LP (the pointwise margin at one state, the common-input
@@ -27,18 +27,21 @@ stores a small part of the full tableau.
 One two-phase routine, ``_solve_lanes``, solves K LPs that differ only in
 their rows: it builds the tableaus, runs phase one, pivots leftover
 artificials out, runs phase two, extracts each point and checks it.
-``solve_lp`` is its one-lane call.  A dense scan solves thousands of margin
-LPs with 2-6 rows each, where the interpreter's overhead per numpy call
-dominates, so ``margin_lps`` hands it one lane per state; ``margin_lp`` is
-its one-state call.  Only the pivot loop comes in two kernels, chosen by the
-lane count: ``_run_simplex`` for one lane, ``_lockstep_simplex`` for
-several, where every pivot step is one numpy call over all live lanes.  Both
-take the same floating-point steps in the same order, so a state's margin in
-a scan has the bits of its ``margin_lp`` call.  One kernel for both costs
-too much: run as one lockstep lane, the certify cascade's LPs (certify-mix
-seed 1, one core of a 2-vCPU host, numpy 2.4) took a median 2.8x as long
-on small tableaus, for the fancy indexing of each step, and 5.8x on large
-ones, where the lockstep kernel has no support-only update.
+``solve_lp`` is its one-lane call, where a margin LP with negative rows
+skips phase one for one start pivot, unless its rows split into independent
+blocks, as the constant-Psi blend's do: see ``_start_pivot``.
+A dense scan solves thousands of margin LPs with 2-6 rows each, where the
+interpreter's overhead per numpy call dominates, so ``margin_lps`` hands it
+one lane per state; ``margin_lp`` is its one-state call.  Only the pivot
+loop comes in two kernels, chosen by the lane count: ``_run_simplex`` for
+one lane, ``_lockstep_simplex`` for several, where every pivot step is one
+numpy call over all live lanes.  Both take the same floating-point steps in
+the same order, so a state's margin in a scan has the bits of its
+``margin_lp`` call.  One kernel for both costs too much: run as one lockstep
+lane, the certify cascade's LPs (certify-mix seed 1, one core of a 2-vCPU
+host, numpy 2.4) took a median 2.8x as long on small tableaus, for the fancy
+indexing of each step, and 5.8x on large ones, where the lockstep kernel has
+no support-only update.
 """
 from __future__ import annotations
 
@@ -201,8 +204,36 @@ def _shift_bounds(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return A2, b2, off, var, sign
 
 
+def _start_pivot(A2: np.ndarray, b2: np.ndarray, var: np.ndarray):
+    """(row, column) of Chvatal's one-pivot phase one for the one-lane LP
+    A2 y <= b2, y >= 0, or None.  The column is the first one <= 0 in every
+    row and below -_RATIO_EPS in every negative row (a margin LP's mirrored
+    t); the row is the negative row of largest b_i / a_ij, the smallest on
+    ties.  None also when the rows, without the start variable's columns,
+    fall into independent blocks (the constant-Psi blend: one per vertex):
+    the pivot row would couple them all, and at n=8, m=2 that blend took
+    1.17 s instead of 0.27.
+    """
+    neg = b2 < 0
+    cols = ((A2 <= 0.0) & ((A2 < -_RATIO_EPS) | ~neg[:, None])).all(axis=0)
+    if not (neg.any() and cols.any()):
+        return None
+    j = int(cols.argmax())
+    nz = A2 != 0.0  # boolean only: no [rows, cols] copy of A2
+    nz[:, var == var[j]] = False
+    touched = nz.any(axis=0)
+    block, size = touched & (touched.cumsum() == 1), 0
+    while block.sum() > size:  # grow the first touched column's block
+        size = block.sum()
+        block = nz[nz[:, block].any(axis=1)].any(axis=0) | block
+    if (touched > block).any():
+        return None
+    neg = neg.nonzero()[0]
+    return int(neg[(b2[neg] / A2[neg, j]).argmax()]), j
+
+
 def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, tol: Tolerances):
+                 hi: np.ndarray, tol: Tolerances, feasible_start: bool = False):
     """Two-phase simplex on K LPs that differ only in their rows:
     maximize c'z subject to A[k] z <= b[k] and lo <= z <= hi, for A
     [K, rows, nv] and b [K, rows].
@@ -213,7 +244,10 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     is negative in any lane gets an artificial column, in row order; lanes
     where the row is not negative store that column, zero, in place of the
     row's slack, and a zero column never enters the basis, so each lane
-    pivots as it would alone.
+    pivots as it would alone.  With ``feasible_start``, one lane takes its
+    ``_start_pivot`` in place of phase one, or runs both phases where that
+    leaves a negative right-hand side.  Scans keep both phases: their bits
+    are in the oracle reports, and on 2-6 rows the start gains nothing.
     """
     K, _, nv = A.shape
     errors: dict[int, Exception] = {}
@@ -224,7 +258,8 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     ny = var.size
     m2 = b2.shape[1]
     ncols_real = ny + m2
-    neg = b2 < 0
+    start = _start_pivot(A2[0], b2[0], var) if feasible_start else None
+    neg = (b2 < 0) & (start is None)
     has_art = neg.any(axis=0)
     art = has_art.nonzero()[0]
     na = art.size
@@ -243,6 +278,10 @@ def _solve_lanes(c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     labels[:, :ny] = np.arange(ny)
     labels[:, ny:] = np.where(neg[:, art], ny + art, ncols_real + np.arange(na))
     basis = np.where(neg, ncols_real - 1 + has_art.cumsum(), ny + rows)
+    if start is not None:
+        _pivot(T[0], labels[0], basis[0], *start)
+        if (T[0, -1] < 0).any():
+            return _solve_lanes(c, A, b, lo, hi, tol)
     max_iter = 200 + 50 * (m2 + ny)
     status = np.full(K, "optimal", dtype=object)
     lanes = np.arange(K)
@@ -310,12 +349,13 @@ def _simplex(T, labels, basis, cost, lanes, allow_cols, tol, max_iter,
 
 
 def solve_lp(prob: LpProblem, tol: Tolerances = DEFAULT) -> LpResult:
-    """Two-phase simplex with Bland's rule on a condensed tableau, which
-    stores only the nonbasic columns and the right-hand side.  Reports
-    optimum, infeasibility, or unboundedness."""
+    """Simplex with Bland's rule on a condensed tableau, which stores only
+    the nonbasic columns and the right-hand side; an LP with a feasible
+    start (``_start_pivot``) skips phase one.  Reports optimum,
+    infeasibility, or unboundedness."""
     A, b = prob.a_ineq, prob.b_ineq
     (status,), (x,), errors = _solve_lanes(prob.c, A[None], b[None], prob.lo,
-                                           prob.hi, tol)
+                                           prob.hi, tol, feasible_start=True)
     if errors:
         raise errors[0]
     if status != "optimal":

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hullcert import (DEFAULT, Hull, InfeasibleQP, InputSet, LpProblem,
                       NumericalFailure, QuadFunc, StackedMap, Tolerances,
-                      WarmQp, cpc_blend_joint, margin_lp, solve_lp,
+                      WarmQp, certify, cpc_blend_joint, margin_lp, solve_lp,
                       solve_qp_projection)
 from hullcert import cases, certificates, optcore
 
@@ -70,18 +71,36 @@ def test_lp_degenerate_cycling_guard():
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def _frozen_lp(data, k: int) -> LpProblem:
+    return LpProblem.maximize(*(data[f"{k}_{f}"]
+                                for f in ("c", "a_ineq", "b_ineq", "lo", "hi")))
+
+
+def _frozen_outputs(res) -> dict:
+    """The arrays a frozen-bits fixture keeps of a solve_lp result."""
+    optimal = res.status == "optimal"
+    return {"status": np.array(res.status),
+            "z": res.z if optimal else np.zeros(0),
+            "value": np.array(res.value if optimal else np.nan),
+            "active_rows": np.array(res.active_rows, dtype=np.int64)}
+
+
 def test_lp_outputs_match_the_frozen_bits():
-    # solve_lp inputs and outputs saved from the scalar two-phase simplex:
-    # every LP that certify makes on example1, case2 and case3 (case1
-    # certifies by the endpoint rule, without an LP), one 288-row
-    # joint-blend LP of an n=3, m=2 corridor, and one LP each with bounds
-    # only, free and one-sided variables, a phase one, no feasible point
-    # and no optimum
-    data = np.load(Path(__file__).parent / "data" / "solve_lp_frozen.npz")
+    # solve_lp inputs and outputs: every LP that certify makes on example1,
+    # case2 and case3 (case1 certifies by the endpoint rule, without an LP),
+    # one 288-row joint-blend LP of an n=3, m=2 corridor, and one LP each
+    # with bounds only, free and one-sided variables, a phase one, no
+    # feasible point and no optimum.  The outputs are those of the simplex
+    # with the feasible start: example1's two LPs, case3's common LP and the
+    # joint-blend LP take it (only the joint-blend LP's z moved when it came
+    # in), the others run both phases.  Regenerate the outputs from the
+    # stored inputs with ``python tests/test_optcore.py --write``.
+    data = np.load(DATA / "solve_lp_frozen.npz")
     for k in range(int(data["count"])):
-        prob = LpProblem.maximize(*(data[f"{k}_{f}"]
-                                    for f in ("c", "a_ineq", "b_ineq", "lo", "hi")))
-        res = solve_lp(prob)
+        res = solve_lp(_frozen_lp(data, k))
         assert res.status == str(data[f"{k}_status"]), str(data[f"{k}_label"])
         if res.status == "optimal":
             assert np.array_equal(_bits(res.z), _bits(data[f"{k}_z"]))
@@ -198,7 +217,7 @@ def test_lp_ratio_test_skips_roundoff_entries():
     # carry roundoff entries of 1e-10 to 3e-10.  Pivoting on them blew the
     # tableau up, and the simplex returned an infeasible point.  The optimum
     # is the one scipy's HiGHS reports.
-    data = np.load(Path(__file__).parent / "data" / "joint_blend_roundoff_pivot.npz")
+    data = np.load(DATA / "joint_blend_roundoff_pivot.npz")
     res = solve_lp(LpProblem.maximize(data["c"], data["a_ineq"], data["b_ineq"],
                                       data["lo"], data["hi"]))
     assert res.status == "optimal"
@@ -263,8 +282,9 @@ def _tail_blend_lp():
 
 
 def test_tail_size_joint_blend_lp_matches_the_frozen_bits():
-    # outputs saved from the row-major scalar simplex (numpy 2.4)
-    data = np.load(Path(__file__).parent / "data" / "joint_blend_1120_frozen.npz")
+    # outputs of the scalar simplex with the feasible start (numpy 2.4),
+    # written by ``python tests/test_optcore.py --write``
+    data = np.load(DATA / "joint_blend_1120_frozen.npz")
     prob = _tail_blend_lp()
     assert prob.a_ineq.shape == (1088, 33)
     res = solve_lp(prob)
@@ -272,6 +292,90 @@ def test_tail_size_joint_blend_lp_matches_the_frozen_bits():
     assert np.array_equal(_bits(res.z), _bits(data["z"]))
     assert _bits(res.value) == _bits(data["value"])
     assert res.active_rows == tuple(data["active_rows"])
+
+
+def _pivot_count(monkeypatch, prob) -> int:
+    count = 0
+    pivot = optcore._pivot
+
+    def spy(*args):
+        nonlocal count
+        count += 1
+        pivot(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optcore, "_pivot", spy)
+        solve_lp(prob)
+    return count
+
+
+def test_feasible_start_takes_the_pivot_paths_it_pins(monkeypatch):
+    # the tail-size joint-blend LP takes the start: 39 pivots, one of them
+    # the start (119 in two phases)
+    assert _pivot_count(monkeypatch, _tail_blend_lp()) == 39
+    # case3's constant-Psi blend LP falls into one block of rows per vertex,
+    # so it keeps two phases: 4 pivots, as before the start existed
+    prob = cases.case3_problem()
+    psis, deltas = prob.stack.eval(prob.hull.vertices)
+    lo, hi = prob.input_set.bounds()
+    blend = optcore.margin_problem(psis, deltas, prob.input_set, lo, hi,
+                                   per_vertex=True)
+    assert _pivot_count(monkeypatch, blend) == 4
+    # a dual box LP has negative rows, but each column is positive in some
+    # row, so no column can start it: two phases, 3 pivots as before
+    dual = _dual_of_box_lp(_random_box_lp(np.random.default_rng(2024)))
+    assert (dual.b_ineq < 0).any()
+    assert _pivot_count(monkeypatch, dual) == 3
+
+
+def test_a_start_that_leaves_a_negative_row_runs_both_phases(monkeypatch):
+    # a start pivot at the least violated row leaves the others negative,
+    # so the LP runs both phases and keeps their bits
+    prob = cases.case3_problem()
+    psis, deltas = prob.stack.eval(prob.hull.vertices)
+    lo, hi = prob.input_set.bounds()
+    common = optcore.margin_problem(psis, deltas, prob.input_set, lo, hi)
+    start_pivot = optcore._start_pivot
+
+    def least_violated(A2, b2, var):
+        _, j = start_pivot(A2, b2, var)
+        neg = (b2 < 0).nonzero()[0]
+        ratios = b2[neg] / A2[neg, j]
+        assert ratios.min() < ratios.max()
+        return int(neg[ratios.argmin()]), j
+
+    (status,), (x,), _ = optcore._solve_lanes(
+        common.c, common.a_ineq[None], common.b_ineq[None], common.lo, common.hi,
+        DEFAULT)
+    monkeypatch.setattr(optcore, "_start_pivot", least_violated)
+    res = solve_lp(common)
+    assert res.status == status == "optimal"
+    assert np.array_equal(_bits(res.z), _bits(x))
+
+
+@pytest.mark.parametrize("varying,rhos", [(False, (0.6, 1.2)), (True, (0.6, 1.5))])
+def test_corridor_vertex_lps_match_highs(monkeypatch, varying, rhos):
+    # every LP of the cascade on seeded corridors, common and joint blend,
+    # most of them with the feasible start
+    from scipy.optimize import linprog
+    from test_lp_bits import corridor
+
+    lps = []
+
+    def spy(prob, tol=DEFAULT):
+        lps.append((prob, solve_lp(prob, tol)))
+        return lps[-1][1]
+
+    monkeypatch.setattr(certificates, "solve_lp", spy)
+    for n, m, rho in product((2, 3, 4), (1, 2), rhos):
+        certify(*corridor(2, n, m, rho, varying))
+    assert len(lps) >= 12
+    for prob, res in lps:
+        ref = linprog(-prob.c, A_ub=prob.a_ineq, b_ub=prob.b_ineq,
+                      bounds=list(zip(prob.lo, prob.hi)), method="highs")
+        assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        if ref.status == 0:
+            assert res.value == pytest.approx(-ref.fun, abs=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +515,25 @@ def test_margin_lps_equal_margin_lp_bit_for_bit(seed, m, p, kind):
     t = _assert_lanes_match_margin_lp(*_lockstep_case(seed, m, p, kind))
     if kind == "rows":
         assert t[-1] == np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3), p=st.integers(1, 6),
+       kind=st.sampled_from(["box", "box+rows", "rows"]))
+def test_solve_lp_with_the_start_agrees_with_two_phase_margin_lp(seed, m, p, kind):
+    # solve_lp takes the feasible start where the shifted rows are
+    # negative; margin_lp, like a scan lane, runs both phases
+    psis, deltas, input_set = _lockstep_case(seed, m, p, kind, K=1)
+    lo, hi = input_set.bounds()
+    prob = optcore.margin_problem(psis, deltas, input_set, lo, hi)
+    res = solve_lp(prob)
+    status, t, u = margin_lp(psis[0], deltas[0], input_set)
+    assert res.status == status
+    if status == "optimal":
+        assert abs(res.value - t) <= 1e-12 * (1.0 + abs(t))
+        for z in (res.z, np.append(u, t)):
+            assert np.all(prob.a_ineq @ z <= prob.b_ineq + 1e-9)
+            assert np.all((z >= prob.lo - 1e-9) & (z <= prob.hi + 1e-9))
 
 
 def test_margin_lps_chunks_and_sparse_pivots_keep_the_bits(monkeypatch):
@@ -577,3 +700,18 @@ def test_warm_qp_infeasible_still_raises():
     psi = np.array([[1.0], [-1.0]])
     with pytest.raises(InfeasibleQP):
         warm.solve(np.zeros(1), psi, np.array([-2.0, 0.0]))
+
+
+if __name__ == "__main__":
+    # Rewrite the outputs of both frozen-bits fixtures, only when a change
+    # is meant to move LP bits:  PYTHONPATH=src python tests/test_optcore.py --write
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_optcore.py --write")
+    data = dict(np.load(DATA / "solve_lp_frozen.npz"))
+    for k in range(int(data["count"])):
+        for name, arr in _frozen_outputs(solve_lp(_frozen_lp(data, k))).items():
+            data[f"{k}_{name}"] = arr
+    np.savez_compressed(DATA / "solve_lp_frozen.npz", **data)
+    tail = _frozen_outputs(solve_lp(_tail_blend_lp()))
+    np.savez_compressed(DATA / "joint_blend_1120_frozen.npz",
+                        **{name: tail[name] for name in ("z", "value", "active_rows")})
