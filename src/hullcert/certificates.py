@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import A3Violated, sign_cone, uniform_column_sign
+from .curvature import A3Violated, _column_signs, sign_cone
 from .optcore import LpProblem, _vertex_pairs, margin_problem, solve_lp
 from .problem import Hull, InputSet, StackedMap, _row_margins
 from .tolerances import DEFAULT, Tolerances
@@ -225,31 +225,25 @@ def endpoint_rule(stack: StackedMap, hull: Hull, input_set: InputSet,
     of the admissible interval.  Works only when every column has a uniform
     sign and the bounds are finite on the favored side.
     """
-    m = stack.m
+    psis, deltas = stack.eval(hull.vertices)
+    nonneg, nonpos = _column_signs(stack, psis, tol)
     lo, hi = input_set.bounds()
-    u = np.empty(m)
-    for k in range(m):
-        side = uniform_column_sign(stack, hull, k, tol=tol)
-        if side == "inconclusive":
-            return CertificateOutcome(
-                "endpoint_rule", False,
-                reason=f"column {k} has no uniform sign over the hull")
-        if side == "nonneg":
-            e_lo, e_hi = max(lo[k], 0.0), hi[k]
-            pick = e_hi
-        else:
-            e_lo, e_hi = lo[k], min(hi[k], 0.0)
-            pick = e_lo
-        if e_lo > e_hi or not np.isfinite(pick):
-            return CertificateOutcome(
-                "endpoint_rule", False,
-                reason=f"column {k}: admissible interval has no usable endpoint")
-        u[k] = pick
+    u = np.where(nonneg, hi, lo)
+    no_sign = ~(nonneg | nonpos)
+    # the favored side of [lo, hi] is empty, or its bound is infinite
+    no_end = (np.where(nonneg, np.maximum(lo, 0.0), lo)
+              > np.where(nonneg, hi, np.minimum(hi, 0.0))) | ~np.isfinite(u)
+    if (no_sign | no_end).any():
+        k = int(np.argmax(no_sign | no_end))
+        return CertificateOutcome(
+            "endpoint_rule", False,
+            reason=f"column {k} has no uniform sign over the hull" if no_sign[k]
+            else f"column {k}: admissible interval has no usable endpoint")
     if not input_set.contains(u, tol=tol.feas):
         return CertificateOutcome(
             "endpoint_rule", False,
             reason="endpoint input violates the polytope part of the input set")
-    worst = float(_row_margins(*stack.eval(hull.vertices), u).min())
+    worst = float(_row_margins(psis, deltas, u).min())
     if worst < -tol.feas:
         return CertificateOutcome("endpoint_rule", False, margin=worst,
                                   reason="endpoint input fails at a hull vertex")
@@ -280,32 +274,25 @@ def cpc_interval(stack: StackedMap, hull: Hull, input_set: InputSet,
     blo, bhi = input_set.bounds()
     psis, deltas = stack.eval(hull.vertices)  # [N, p, m], [N, p]
 
-    lo = np.empty(stack.m)
-    hi = np.empty(stack.m)
-    for k in range(stack.m):
-        col = psis[:, :, k]  # [N, p]
-        helpful = np.all(col >= -tol.sign, axis=1)
-        harmful = np.all(col <= tol.sign, axis=1)
-        mixed = ~(helpful | harmful)
-        if mixed.any():
-            j = int(np.flatnonzero(mixed)[0])
-            return CertificateOutcome(
-                "cpc_interval", False,
-                reason=f"column {k} is not sign-coherent at vertex {j}")
-        # Zero columns land in both sets; both bounds then equal (u^j)_k.
-        l_k = -np.inf
-        u_k = np.inf
-        if helpful.any():
-            l_k = float(U[helpful, k].max())
-        if harmful.any():
-            u_k = float(U[harmful, k].min())
-        lo[k] = max(l_k, blo[k], cone.lo[k])
-        hi[k] = min(u_k, bhi[k], cone.hi[k])
-        if lo[k] > hi[k] + tol.feas:
-            return CertificateOutcome(
-                "cpc_interval", False,
-                reason=f"coordinate {k}: interval is empty after clipping")
-        hi[k] = max(hi[k], lo[k])
+    helpful = np.all(psis >= -tol.sign, axis=1)  # [N, m]
+    harmful = np.all(psis <= tol.sign, axis=1)
+    mixed = ~(helpful | harmful)
+    # Zero columns land in both sets; both bounds then equal (u^j)_k.  On a
+    # tie (0.0 against -0.0) np.maximum and np.minimum return their second
+    # operand, so the vertex bound nests last and wins ties, then the box's.
+    lo = np.maximum(cone.lo, np.maximum(
+        blo, np.max(U, axis=0, where=helpful, initial=-np.inf)))
+    hi = np.minimum(cone.hi, np.minimum(
+        bhi, np.min(U, axis=0, where=harmful, initial=np.inf)))
+    failed = mixed.any(axis=0) | (lo > hi + tol.feas)
+    if failed.any():
+        k = int(np.argmax(failed))
+        return CertificateOutcome(
+            "cpc_interval", False,
+            reason=f"column {k} is not sign-coherent at vertex "
+            f"{np.argmax(mixed[:, k])}" if mixed[:, k].any()
+            else f"coordinate {k}: interval is empty after clipping")
+    hi = np.maximum(lo, hi)
     if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
         return CertificateOutcome(
             "cpc_interval", False,

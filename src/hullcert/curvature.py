@@ -5,6 +5,20 @@ u_k >= 0 without breaking concavity of x -> Psi(x) u; an all-convex column
 admits u_k <= 0; an affine column admits any sign.  The product of these
 per-column intervals is the sign-aligned cone: for u inside it, every row of
 x -> Psi(x) u + delta(x) is concave whenever delta is concave.
+
+One rule decides every class: ``problem._class_codes``, with one batched
+``eigvalsh`` over a stack's curved entries.  For a symmetric Q:
+
+  0 affine      every |Q_ij| <= tol
+  1 concave     else, largest eigenvalue <= tol
+  2 convex      else, smallest eigenvalue >= -tol
+  3 indefinite  else
+
+A column's class is the bitwise or of its entries' codes: affine sides with
+either, and concave beside convex is indefinite.  ``tol.eig`` serves the
+sign cone, the column signs and ``validate_problem``; 1e-12 serves
+``StackedMap.affine_arrays``, ``QuadFunc.is_affine`` and explicit's
+Assumption 2.
 """
 from __future__ import annotations
 
@@ -13,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .problem import Hull, InputSet, QuadFunc, StackedMap
+from .problem import Hull, InputSet, QuadFunc, StackedMap, _class_codes
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -22,6 +36,9 @@ class CurvatureClass(Enum):
     CONCAVE = "concave"
     CONVEX = "convex"
     INDEFINITE = "indefinite"
+
+
+_CLASSES = tuple(CurvatureClass)  # indexed by curvature code 0..3
 
 
 class A3Violated(ValueError):
@@ -38,37 +55,19 @@ class ConeViolation(ValueError):
 
 def classify_quadratic(q: QuadFunc, tol: float = DEFAULT.eig) -> CurvatureClass:
     """Classify by the eigenvalues of Q: affine, concave, convex, or indefinite."""
-    if q.Q.size == 0 or np.max(np.abs(q.Q)) <= tol:
-        return CurvatureClass.AFFINE
-    eigs = np.linalg.eigvalsh(q.Q)
-    if eigs[-1] <= tol:
-        return CurvatureClass.CONCAVE
-    if eigs[0] >= -tol:
-        return CurvatureClass.CONVEX
-    return CurvatureClass.INDEFINITE
+    return _CLASSES[_class_codes(q.Q[None], tol)[0]]
 
 
-def _aggregate(classes) -> CurvatureClass:
-    """Combine entry classes; affine entries are compatible with either side."""
-    classes = list(classes)
-    has_concave = any(c is CurvatureClass.CONCAVE for c in classes)
-    has_convex = any(c is CurvatureClass.CONVEX for c in classes)
-    if any(c is CurvatureClass.INDEFINITE for c in classes):
-        return CurvatureClass.INDEFINITE
-    if has_concave and has_convex:
-        return CurvatureClass.INDEFINITE
-    if has_concave:
-        return CurvatureClass.CONCAVE
-    if has_convex:
-        return CurvatureClass.CONVEX
-    return CurvatureClass.AFFINE
+def _column_codes(stack: StackedMap, tol: float) -> np.ndarray:
+    """Curvature code [m] of each column: the bitwise or of its entries'."""
+    return np.bitwise_or.reduce(stack._codes(tol)[0], axis=0)
 
 
 def column_curvature(stack: StackedMap, k: int, tol: float = DEFAULT.eig) -> CurvatureClass:
     """Aggregate curvature class of column k across all p rows."""
     if not 0 <= k < stack.m:
         raise IndexError(f"column {k} out of range for m={stack.m}")
-    return _aggregate(classify_quadratic(stack.psi[i][k], tol) for i in range(stack.p))
+    return _CLASSES[_column_codes(stack, tol)[k]]
 
 
 @dataclass(frozen=True)
@@ -85,38 +84,40 @@ class SignCone:
 
 def sign_cone(stack: StackedMap, tol: float = DEFAULT.eig) -> SignCone:
     """Sign-aligned cone of the map; raises A3Violated on an indefinite column."""
-    lo = np.full(stack.m, -np.inf)
-    hi = np.full(stack.m, np.inf)
-    for k in range(stack.m):
-        cls = column_curvature(stack, k, tol)
-        if cls is CurvatureClass.INDEFINITE:
-            raise A3Violated(k)
-        if cls is CurvatureClass.CONCAVE:
-            lo[k] = 0.0
-        elif cls is CurvatureClass.CONVEX:
-            hi[k] = 0.0
+    codes = _column_codes(stack, tol)
+    if (codes == 3).any():
+        raise A3Violated(int(np.argmax(codes == 3)))
+    lo = np.where(codes == 1, 0.0, -np.inf)
+    hi = np.where(codes == 2, 0.0, np.inf)
     lo.setflags(write=False)
     hi.setflags(write=False)
     return SignCone(lo, hi)
 
 
+def _column_signs(stack: StackedMap, psis: np.ndarray,
+                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(nonneg [m], nonpos [m]): the columns whose sign is uniform over the
+    hull, from the stack evaluated at the vertices (``psis`` [N, p, m]).
+
+    Vertex nonnegativity of a concave entry propagates to the hull, and
+    vertex nonpositivity of a convex entry does the same, so the vertex
+    values plus the column classes certify a uniform sign.  A zero column
+    is both.
+    """
+    codes = _column_codes(stack, tol.eig)
+    nonneg = (psis.min(axis=(0, 1)) >= -tol.sign) & ((codes & 2) == 0)
+    nonpos = (psis.max(axis=(0, 1)) <= tol.sign) & ((codes & 1) == 0)
+    return nonneg, nonpos
+
+
 def uniform_column_sign(stack: StackedMap, hull: Hull, k: int,
                         tol: Tolerances = DEFAULT) -> str:
-    """'nonneg' / 'nonpos' / 'inconclusive' for column k over the whole hull.
-
-    Vertex nonnegativity of a concave entry propagates to the hull, and vertex
-    nonpositivity of a convex entry does the same, so the vertex values plus
-    the entry classes certify a uniform sign.  Zero columns resolve to nonneg.
-    """
-    cls = column_curvature(stack, k, tol.eig)
-    vals = stack.psi_at(hull.vertices)[:, :, k]
-    if vals.min() >= -tol.sign and cls in (CurvatureClass.AFFINE,
-                                           CurvatureClass.CONCAVE):
-        return "nonneg"
-    if vals.max() <= tol.sign and cls in (CurvatureClass.AFFINE,
-                                          CurvatureClass.CONVEX):
-        return "nonpos"
-    return "inconclusive"
+    """'nonneg' / 'nonpos' / 'inconclusive' for column k over the whole hull
+    (see ``_column_signs``); a zero column resolves to nonneg."""
+    if not 0 <= k < stack.m:
+        raise IndexError(f"column {k} out of range for m={stack.m}")
+    nonneg, nonpos = _column_signs(stack, stack.psi_at(hull.vertices), tol)
+    return "nonneg" if nonneg[k] else "nonpos" if nonpos[k] else "inconclusive"
 
 
 def concavity_witness(stack: StackedMap, u, hull: Hull, trials: int = 1000,
@@ -178,9 +179,9 @@ def validate_problem(stack: StackedMap, hull: Hull, input_set: InputSet,
         raise ValueError("hull dimension does not match the stacked map")
     if stack.m != input_set.m:
         raise ValueError("input set dimension does not match the stacked map")
-    delta_classes = [classify_quadratic(q, tol.eig) for q in stack.delta]
-    column_classes = [column_curvature(stack, k, tol.eig) for k in range(stack.m)]
-    a2_ok = all(c in (CurvatureClass.AFFINE, CurvatureClass.CONCAVE)
-                for c in delta_classes)
-    a3_ok = all(c is not CurvatureClass.INDEFINITE for c in column_classes)
-    return AssumptionReport(delta_classes, column_classes, a2_ok, a3_ok)
+    column_codes = _column_codes(stack, tol.eig)
+    delta_codes = stack._codes(tol.eig)[1]
+    return AssumptionReport([_CLASSES[c] for c in delta_codes],
+                            [_CLASSES[c] for c in column_codes],
+                            a2_ok=bool(((delta_codes & 2) == 0).all()),
+                            a3_ok=bool((column_codes != 3).all()))

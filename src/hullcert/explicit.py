@@ -194,17 +194,18 @@ def assumption2_data(stack: StackedMap, hull: Hull):
     1e-10, absolute, across the hull vertices (an affine function constant
     on all vertices is constant on the hull).
     """
-    curved_psi, curved_delta = stack._curved()
-    if curved_psi.any():
-        r, k = np.argwhere(curved_psi)[0]
+    psi_codes, delta_codes = stack._codes(1e-12)
+    if psi_codes.any():
+        r, k = np.argwhere(psi_codes)[0]
         raise Assumption2Violated(f"Psi entry ({r},{k}) is not affine")
     psis = stack.psi_at(hull.vertices)
     if np.abs(psis - psis[0]).max() > 1e-10:
         raise Assumption2Violated("Psi varies across the hull vertices")
-    aff = stack.affine_arrays()
-    if aff is None:
-        raise Assumption2Violated(f"delta row {np.argmax(curved_delta)} is not affine")
-    return psis[0], aff.D1, aff.D0
+    if delta_codes.any():
+        raise Assumption2Violated(
+            f"delta row {np.flatnonzero(delta_codes)[0]} is not affine")
+    _, d_mat, d0 = stack._delta
+    return psis[0], d_mat, d0
 
 
 def kkt_affine_law(psi_bar, d_mat, d0, G, b, u_gain, u0,

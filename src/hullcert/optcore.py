@@ -388,33 +388,28 @@ def margin_problem(psis: np.ndarray, deltas: np.ndarray, input_set: InputSet,
     N, p, m = psis.shape
     copies = N if per_vertex else 1
     nv = copies * m + 1
-    rows, offs = [], []
-    for j in range(N):
-        block = np.zeros((p, nv))
-        k = j if per_vertex else 0
-        block[:, k * m:(k + 1) * m] = -psis[j]
-        block[:, -1] = 1.0
-        rows.append(block)
-        offs.append(deltas[j])
-    if per_vertex and np.abs(psis - psis[0]).max() > 1e-13:
+    coupled = per_vertex and np.abs(psis - psis[0]).max() > 1e-13
+    pairs = N * (N - 1) // 2 if coupled else 0
+    G, b = input_set.polytope or (np.zeros((0, m)), np.zeros(0))
+    A = np.zeros(((N + pairs) * p + copies * len(G), nv))
+    margin, coupling, polytope = np.split(A, [N * p, (N + pairs) * p])
+
+    def per_u(block, count, rows):
+        """View of a block's u columns as [count, rows, copies, m]."""
+        return block[:, :-1].reshape(count, rows, copies, m)
+
+    per_u(margin, N, p)[np.arange(N), :, np.arange(N) if per_vertex else 0] = -psis
+    margin[:, -1] = 1.0
+    if coupled:
         i, j, D = _vertex_pairs(psis)
-        block = np.zeros((i.size, p, nv))
-        per_u = block[:, :, :-1].reshape(i.size, p, N, m)  # a view, u^j by j
-        per_u[np.arange(i.size), :, i] = D
-        per_u[np.arange(i.size), :, j] = -D
-        rows.append(block.reshape(-1, nv))
-        offs.append(np.zeros(i.size * p))
-    if input_set.polytope is not None:
-        G, b = input_set.polytope
-        for j in range(copies):
-            block = np.zeros((G.shape[0], nv))
-            block[:, j * m:(j + 1) * m] = G
-            rows.append(block)
-            offs.append(b)
+        per_u(coupling, pairs, p)[np.arange(pairs), :, i] = D
+        per_u(coupling, pairs, p)[np.arange(pairs), :, j] = -D
+    per_u(polytope, copies, len(G))[np.arange(copies), :, np.arange(copies)] = G
     c = np.zeros(nv)
     c[-1] = 1.0
     return LpProblem.maximize(
-        c, np.vstack(rows), np.concatenate(offs),
+        c, A, np.concatenate([deltas.reshape(-1), np.zeros(pairs * p),
+                              np.tile(b, copies)]),
         np.concatenate([ulo] * copies + [[-np.inf]]),
         np.concatenate([uhi] * copies + [[np.inf]]))
 

@@ -65,7 +65,7 @@ class QuadFunc:
         return float(x @ self.Q @ x + self.c @ x + self.d)
 
     def is_affine(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.Q)) <= tol) if self.Q.size else True
+        return not _class_codes(self.Q[None], tol)[0]
 
     def affine_coeffs(self, tol: float = 1e-12) -> tuple[np.ndarray, float]:
         if not self.is_affine(tol):
@@ -93,6 +93,17 @@ def _coeff_arrays(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (Q [E, n, n], c [E, n], d [E]) of a sequence of entries."""
     return (_ro([q.Q for q in entries]), _ro([q.c for q in entries]),
             _ro([q.d for q in entries]))
+
+
+def _class_codes(Q: np.ndarray, tol: float) -> np.ndarray:
+    """Curvature code [E] of each symmetric Q [E, n, n] by the table in
+    ``curvature``'s docstring; ``eigvalsh`` runs once, on the curved Q only."""
+    codes = np.zeros(len(Q), dtype=np.uint8)
+    curved = np.abs(Q).max(axis=(1, 2), initial=0.0) > tol
+    if curved.any():
+        eigs = np.linalg.eigvalsh(Q[curved])
+        codes[curved] = np.where(eigs[:, -1] <= tol, 1, 2 + (eigs[:, 0] < -tol))
+    return codes
 
 
 def _entries_at(coeffs, x) -> np.ndarray:
@@ -176,15 +187,14 @@ class StackedMap:
         """(Psi [K, p, m], delta [K, p]) at each row of X [K, n]."""
         return self.psi_at(X), self.delta_at(X)
 
-    def _curved(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the Psi [p, m] and delta [p] entries with some |Q| > 1e-12."""
-        psi, delta = ((np.abs(Q) > 1e-12).any(axis=(1, 2))
-                      for Q in (self._psi[0], self._delta[0]))
-        return psi.reshape(self.p, self.m), delta
+    def _codes(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """``_class_codes`` of the Psi [p, m] and delta [p] entries."""
+        return (_class_codes(self._psi[0], tol).reshape(self.p, self.m),
+                _class_codes(self._delta[0], tol))
 
     def affine_arrays(self) -> AffineStack | None:
         """Dense affine form, or None when any entry is genuinely quadratic."""
-        if any(mask.any() for mask in self._curved()):
+        if any(codes.any() for codes in self._codes(1e-12)):
             return None
         (_, cp, dp), (_, cd, dd) = self._psi, self._delta
         return AffineStack(dp.reshape(self.p, self.m),
@@ -228,6 +238,8 @@ class Hull:
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         if V.ndim != 2 or V.shape[0] < 1:
             raise ValueError("hull needs a [N, n] vertex array")
+        if V.shape[1] < 1:
+            raise ValueError("hull states need at least one dimension")
         if not np.all(np.isfinite(V)):
             raise ValueError("hull vertices must be finite")
         for i in range(V.shape[0] - 1):

@@ -278,6 +278,29 @@ def test_certify_rejects_unknown_stage():
         certify(prob.stack, prob.hull, prob.input_set, order=("simplex",))
 
 
+def test_each_stage_evaluates_the_stack_at_the_vertices_once(monkeypatch):
+    # a spy on the class, as the benchmark's tracer installs it
+    calls = []
+    psi_at = StackedMap.psi_at
+
+    def spy(self, x):
+        calls.append(np.shape(x))
+        return psi_at(self, x)
+
+    monkeypatch.setattr(StackedMap, "psi_at", spy)
+    prob = cases.case1_problem()
+    args = (prob.stack, prob.hull, prob.input_set)
+    stages = {"endpoint_rule": lambda: endpoint_rule(*args),
+              "cpc_interval": lambda: cpc_interval(
+                  *args, cases.case1_reference_vertex_inputs()),
+              "cpc_common": lambda: cpc_common(*args),
+              "cpc_blend_joint": lambda: cpc_blend_joint(*args)}
+    for name, stage in stages.items():
+        calls.clear()
+        assert stage().valid, name
+        assert calls == [prob.hull.vertices.shape], name
+
+
 # --------------------------------------------------------------------------
 # serialization
 

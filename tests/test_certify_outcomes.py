@@ -28,9 +28,7 @@ import numpy as np
 import hullcert as hc
 from hullcert import cases
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from test_lp_bits import CORRIDORS, corridor  # noqa: E402
+from test_lp_bits import CORRIDORS, corridor
 
 DIGESTS = Path(__file__).parent / "data" / "certify_outcomes.json"
 

@@ -227,6 +227,20 @@ def test_a_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, command,
     assert err.startswith("error: cannot load") and "wrong type" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "oracle", "explicit", "simulate"])
+def test_a_zero_dimensional_state_is_an_input_error(tmp_path, capsys, command):
+    # with n = 0 certify and oracle used to pass and explicit died in qhull
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "n": 0, "psi": [[{"d": 1.0}]], "delta": [{"d": 0.0}],
+        "input_set": {"box": {"umin": [0.0], "umax": [1.0]}},
+        "hull": {"vertices": [[]]}}))
+    assert main([command, "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load") and "dimension" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["certify", "oracle"])
 def test_a_stack_that_overflows_at_a_vertex_is_an_input_error(tmp_path, capsys,
                                                               command):

@@ -1,11 +1,150 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hullcert import (A3Violated, ConeViolation, CurvatureClass, Hull,
+from hullcert import (DEFAULT, A3Violated, ConeViolation, CurvatureClass, Hull,
                       InputSet, QuadFunc, StackedMap, classify_quadratic,
                       column_curvature, concavity_witness, sign_cone,
                       uniform_column_sign, validate_problem)
 from hullcert import cases
+
+AFFINE, CONCAVE, CONVEX, INDEFINITE = CurvatureClass
+
+
+# --------------------------------------------------------------------------
+# scalar reference: one eigvalsh call per entry, classes folded pairwise
+
+
+def reference_class(Q, tol):
+    if Q.size == 0 or np.max(np.abs(Q)) <= tol:
+        return AFFINE
+    eigs = np.linalg.eigvalsh(Q)
+    if eigs[-1] <= tol:
+        return CONCAVE
+    if eigs[0] >= -tol:
+        return CONVEX
+    return INDEFINITE
+
+
+def reference_aggregate(classes):
+    classes = list(classes)
+    has_concave = CONCAVE in classes
+    has_convex = CONVEX in classes
+    if INDEFINITE in classes or (has_concave and has_convex):
+        return INDEFINITE
+    if has_concave:
+        return CONCAVE
+    if has_convex:
+        return CONVEX
+    return AFFINE
+
+
+TOLS = (1e-10, 1e-12)
+
+
+@st.composite
+def symmetric_q(draw, n, tol):
+    """A symmetric [n, n] matrix: random at several scales, or on the
+    classifier's edges, max |Q| exactly tol or an eigenvalue exactly +-tol."""
+    kind = draw(st.sampled_from(["random", "zero", "at_tol", "eig_at_tol",
+                                 "rank_one"]))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "at_tol":
+        S = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                   min_size=n * n, max_size=n * n))).reshape(n, n)
+        S = np.triu(S) + np.triu(S, 1).T
+        S.flat[0] = draw(st.sampled_from([-1.0, 1.0]))
+        return tol * S
+    if kind == "eig_at_tol":
+        rest = draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1))
+        return np.diag([draw(st.sampled_from([-tol, tol]))] + rest)
+    v = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    if kind == "rank_one":
+        return draw(st.sampled_from([-1.0, 1.0])) * np.outer(v, v)
+    M = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    return draw(st.sampled_from([1.0, 1e-9, 1e-11, 1e-13])) * (M + M.T) / 2.0
+
+
+@st.composite
+def stacked_q(draw):
+    """(stack, tol) with p x m in 1..12 entries of dimension n in 1..4."""
+    n, p, m = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+               draw(st.integers(1, 3)))
+    tol = draw(st.sampled_from(TOLS))
+    psi = [[QuadFunc(Q=draw(symmetric_q(n, tol))) for _ in range(m)]
+           for _ in range(p)]
+    delta = [QuadFunc(Q=draw(symmetric_q(n, tol))) for _ in range(p)]
+    return StackedMap(psi, delta), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stacked_q())
+def test_classifier_matches_the_scalar_reference(case):
+    stack, tol = case
+    hull = Hull(np.eye(stack.n))
+    want_entries = [[reference_class(q.Q, tol) for q in row] for row in stack.psi]
+    want_columns = [reference_aggregate(col) for col in zip(*want_entries)]
+    assert [[classify_quadratic(q, tol) for q in row]
+            for row in stack.psi] == want_entries
+    assert [column_curvature(stack, k, tol)
+            for k in range(stack.m)] == want_columns
+    report = validate_problem(stack, hull, InputSet(box=(-np.ones(stack.m),
+                                                         np.ones(stack.m))),
+                              DEFAULT.with_overrides(eig=tol))
+    assert report.column_classes == want_columns
+    assert report.delta_classes == [reference_class(q.Q, tol) for q in stack.delta]
+    assert report.a3_ok == (INDEFINITE not in want_columns)
+    if INDEFINITE in want_columns:
+        with pytest.raises(A3Violated) as exc:
+            sign_cone(stack, tol)
+        assert exc.value.column == want_columns.index(INDEFINITE)
+    else:
+        cone = sign_cone(stack, tol)
+        assert cone.lo.tolist() == [0.0 if c is CONCAVE else -np.inf
+                                    for c in want_columns]
+        assert cone.hi.tolist() == [0.0 if c is CONVEX else np.inf
+                                    for c in want_columns]
+    # the affine test of affine_arrays is the same rule at 1e-12
+    assert (stack.affine_arrays() is None) == any(
+        reference_class(q.Q, 1e-12) is not AFFINE
+        for q in [e for row in stack.psi for e in row] + list(stack.delta))
+
+
+def test_column_aggregation_truth_table():
+    by_class = {AFFINE: QuadFunc(c=[1.0, 0.0]), CONCAVE: QuadFunc(Q=-np.eye(2)),
+                CONVEX: QuadFunc(Q=np.eye(2)),
+                INDEFINITE: QuadFunc(Q=np.diag([1.0, -1.0]))}
+    table = {(AFFINE, AFFINE): AFFINE, (AFFINE, CONCAVE): CONCAVE,
+             (AFFINE, CONVEX): CONVEX, (AFFINE, INDEFINITE): INDEFINITE,
+             (CONCAVE, CONCAVE): CONCAVE, (CONCAVE, CONVEX): INDEFINITE,
+             (CONCAVE, INDEFINITE): INDEFINITE, (CONVEX, CONVEX): CONVEX,
+             (CONVEX, INDEFINITE): INDEFINITE, (INDEFINITE, INDEFINITE): INDEFINITE}
+    zero = QuadFunc(n=2)
+    for a, b in product(CurvatureClass, repeat=2):
+        want = table.get((a, b)) or table[(b, a)]
+        assert reference_aggregate([a, b]) is want
+        stack = StackedMap([[by_class[a]], [by_class[b]]], [zero, zero])
+        assert column_curvature(stack, 0) is want, (a, b)
+
+
+def test_column_lookups_reject_out_of_range_columns():
+    stack = StackedMap([[QuadFunc(Q=[[-1.0]]), QuadFunc(c=[1.0])]],
+                       [QuadFunc(c=[0.0])])
+    hull = Hull([[-1.0], [1.0]])
+    for k in (-1, stack.m):
+        with pytest.raises(IndexError):
+            column_curvature(stack, k)
+        with pytest.raises(IndexError):
+            uniform_column_sign(stack, hull, k)
+
+
+def test_zero_dimensional_entry_is_affine():
+    assert classify_quadratic(QuadFunc(n=0)) is AFFINE
 
 
 def test_classify_quadratic_basic():
